@@ -20,11 +20,10 @@ import json
 import sys
 
 # A fresh result must match the baseline on these fields for the
-# throughput comparison to mean anything. "shards" keeps a sharded run
-# from being compared against the serial baseline, "policy" keeps a
-# --policy sieve run from being compared against the default-LRU
-# baseline, and "cryptoBackend" keeps a --crypto scalar A/B run from
-# being compared against the dispatched (aesni/vaes) baseline (absent
+# throughput comparison to mean anything. "policy" keeps a --policy
+# sieve run from being compared against the default-LRU baseline, and
+# "cryptoBackend" keeps a --crypto scalar A/B run from being compared
+# against the dispatched (aesni/vaes) baseline (absent
 # in baselines recorded before the field existed, which .get() treats
 # as None — re-record the baseline to compare). "resultsDir" and
 # "zipf" scope bench-sweep results (BENCH_sweepcache.json): the cache
@@ -40,7 +39,7 @@ import sys
 # --adapt-epoch (the SHM_adaptive perf-smoke baseline), so an
 # adaptive-grid run never compares against the classic 3x3.
 CONFIG_KEYS = ("benchmark", "gpu", "kernel_loop", "policy",
-               "max_cycles_per_kernel", "cells", "shards",
+               "max_cycles_per_kernel", "cells",
                "cryptoBackend", "resultsDir", "zipf", "scenario",
                "tenants", "schemes", "adaptEpoch")
 

@@ -137,8 +137,8 @@ class CalendarQueue
 
     /**
      * The cycle of the earliest pending event, without removing it.
-     * The queue must not be empty. Used by the shard engine to decide
-     * whether the next event still falls inside the current epoch.
+     * The queue must not be empty. Used by the kernel loop to stop at
+     * a scenario's slice boundary.
      */
     Cycle
     minCycle() const

@@ -1,7 +1,6 @@
 #include "gpu/simulator.hh"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -37,15 +36,12 @@ makeTxn(const workload::TraceOp &op, const mem::PartitionAddr &pa,
 }
 
 /**
- * Scenario runs use the serial context/stream engine: one simulation
- * thread multiplexes tenant contexts, so the shard engine is clamped
- * off (results are then trivially identical for every --shards value)
- * and the per-cycle reference loop does not apply.
+ * Scenario runs multiplex tenant contexts over the event engine; the
+ * per-cycle reference loop does not apply.
  */
 GpuParams
 clampForScenario(GpuParams gp)
 {
-    gp.shards = 1;
     gp.referenceKernelLoop = false;
     return gp;
 }
@@ -149,49 +145,6 @@ GpuSimulator::init()
     calendar = CalendarQueue(gpuConfig.numSms);
     calendar.reserve(gpuConfig.numSms); // each SM has at most one event
 
-    // Shard engine. The epoch length is the minimum SM->partition->SM
-    // feedback distance: a request serializes for >= 1 cycle and
-    // traverses the crossbar each way, and even an L2 hit pays
-    // l2HitLatency, so a read issued at cycle c completes no earlier
-    // than c + 2*(icntLatency+1) + l2HitLatency. Epochs never exceed
-    // that distance, which is what lets barriers defer completion
-    // delivery without any SM noticing.
-    epochLength = 2 * (gpuConfig.icntLatency + 1) + gpuConfig.l2HitLatency;
-    // Partitions are independent domains unless the MEE routes
-    // metadata by physical address (secure Naive/CommonCtr), which
-    // crosses partitions and shares one CommonCounterTable — then
-    // everything collapses into a single domain and sharding cannot
-    // help, so the serial engine runs instead (bit-identical either
-    // way; the speedup exists exactly where the paper's PSSM
-    // decomposition applies).
-    const bool coupled =
-        meeConfig.secure && !meeConfig.localMetadataAddressing;
-    const std::uint32_t num_domains =
-        coupled ? 1u : gpuConfig.numPartitions;
-    effectiveShards = std::min(gpuConfig.shards > 0 ? gpuConfig.shards : 1,
-                               num_domains);
-    if (gpuConfig.referenceKernelLoop)
-        effectiveShards = 1;
-    if (effectiveShards > 1) {
-        std::vector<Partition *> parts;
-        parts.reserve(partitions.size());
-        for (auto &p : partitions)
-            parts.push_back(p.get());
-        std::vector<std::uint32_t> domain_of(gpuConfig.numPartitions);
-        for (PartitionId p = 0; p < gpuConfig.numPartitions; ++p)
-            domain_of[p] = coupled ? 0 : p;
-        // An SM submits at most one transaction per cycle, so one
-        // epoch bounds each domain's inbox depth.
-        std::size_t ring_cap =
-            static_cast<std::size_t>(gpuConfig.numSms) * epochLength + 1;
-        icnt.buildTransactionLayer(std::move(parts), std::move(domain_of),
-                                   num_domains, ring_cap);
-        shardPool = std::make_unique<ShardPool>(
-            effectiveShards, num_domains,
-            [this](std::uint32_t d) { icnt.drainDomain(d); },
-            gpuConfig.shardSpin);
-    }
-
     rootStats.attach(nullptr, "sim");
     rootStats.addScalar("cycles", &statCycles, "simulated cycles");
     rootStats.addScalar("instructions", &statInstructions,
@@ -221,12 +174,8 @@ GpuSimulator::attachTracer(trace::Tracer *t)
                    "tracer has {} lanes, simulator needs {} (one per "
                    "partition plus the SM scheduler lane)",
                    tracer->numLanes(), gpuConfig.numPartitions + 1);
-        for (PartitionId p = 0; p < gpuConfig.numPartitions; ++p) {
+        for (PartitionId p = 0; p < gpuConfig.numPartitions; ++p)
             tracer->setLaneName(p, "partition " + std::to_string(p));
-            // The sharded engine's workers produce on partition lanes;
-            // the sim thread drains them at epoch barriers only.
-            tracer->setLaneShared(p, effectiveShards > 1);
-        }
         tracer->setLaneName(smLane, "sm scheduler");
     }
     icnt.setTracer(tracer, smLane);
@@ -346,20 +295,15 @@ GpuSimulator::runKernelLoop(Source &source, std::uint32_t window)
 
     if (gpuConfig.referenceKernelLoop)
         referenceKernelLoop(source, window);
-    else if (effectiveShards > 1)
-        shardedKernelLoop(source, window);
     else
         eventKernelLoop(source, window);
 
     for (auto &p : partitions)
         p->kernelBoundary(currentCycle);
     ++statKernelsRun;
-    if (tracer) {
+    if (tracer)
         tracer->record(smLane, trace::EventKind::KernelEnd, currentCycle,
                        0, kernel_idx);
-        // Producers are quiescent between kernels: bank everything.
-        tracer->drainAll();
-    }
 }
 
 /**
@@ -394,133 +338,169 @@ GpuSimulator::eventKernelLoop(Source &source, std::uint32_t window)
 {
     profile::ScopedTimer timer(profile::Phase::KernelLoop);
 
-    currentWindow = window;
-    const Cycle kernel_start = currentCycle;
-    // Saturate so a huge cycle budget cannot wrap the cap.
-    const Cycle cap_end =
-        gpuConfig.maxCyclesPerKernel > invalidCycle - kernel_start
-            ? invalidCycle
-            : kernel_start + gpuConfig.maxCyclesPerKernel;
+    KernelRun k;
+    k.smHi = gpuConfig.numSms;
+    k.partHi = static_cast<PartitionId>(gpuConfig.numPartitions);
+    k.addrMap = &map;
+    calendar.clear(currentCycle);
+    beginKernel(k, window, currentCycle);
+    // Only events strictly before the cap are ever scheduled, so the
+    // calendar draining means every SM is drained or frozen by the cap.
+    drainCalendar(k, source, invalidCycle);
+    currentCycle = kernelTail(k);
+}
 
-    calendar.clear(kernel_start);
-    for (auto &u : sms) {
+void
+GpuSimulator::beginKernel(KernelRun &k, std::uint32_t window, Cycle at)
+{
+    k.window = window;
+    k.kernelStart = at;
+    // Saturate so a huge cycle budget cannot wrap the cap.
+    k.capEnd = saturatingAdd(at, gpuConfig.maxCyclesPerKernel);
+    k.maxCompletion = 0;
+    k.lastDrain = at;
+    k.cursor = invalidCycle;
+    k.busyCycles = 0;
+    k.drained = 0;
+    for (std::uint32_t s = k.smLo; s < k.smHi; ++s) {
+        SmUnit &u = sms[s];
         u.hasOp = false;
         u.computeLeft = 0;
         u.drained = false;
         shm_assert(u.inflight.empty(), "in-flight loads across kernels");
+        calendar.push(at, s);
+        ++k.eventsPending;
     }
-    for (SmId sm = 0; sm < gpuConfig.numSms; ++sm)
-        calendar.push(kernel_start, sm);
-    drainedCount = 0;
+}
 
-    std::uint64_t outstanding_total = 0;
-    Cycle max_completion = 0;    //!< latest load completion ever pushed
-    Cycle last_drain = kernel_start;
-    Cycle cursor = invalidCycle; //!< cycle of the last processed event
-    std::uint64_t busy_cycles = 0;
-
-    // Only events strictly before the cap are ever scheduled, so the
-    // calendar draining means every SM is drained or frozen by the cap.
-    while (!calendar.empty()) {
+template <typename Source>
+void
+GpuSimulator::drainCalendar(KernelRun &k, Source &source, Cycle limit)
+{
+    while (!calendar.empty() && calendar.minCycle() < limit) {
         auto [now, sm] = calendar.popMin();
-        if (now != cursor) { // events < cap_end <= invalidCycle
-            if (tracer && cursor != invalidCycle && now > cursor + 1)
+        --k.eventsPending;
+        if (now != k.cursor) { // events < capEnd <= invalidCycle
+            if (tracer && k.cursor != invalidCycle && now > k.cursor + 1)
                 tracer->record(smLane, trace::EventKind::CalendarSkip,
                                now, static_cast<std::uint16_t>(sm),
-                               now - cursor - 1);
-            cursor = now;
-            ++busy_cycles;
+                               now - k.cursor - 1);
+            k.cursor = now;
+            ++k.busyCycles;
         }
-        SmUnit &u = sms[sm];
+        stepSm(k, source, static_cast<SmId>(sm), now);
+    }
+}
 
-        // Retire this SM's completed loads before its window check;
-        // the reference loop retires all completions <= now before
-        // ticking any SM, and retirement only touches the owner.
-        while (!u.inflight.empty() && u.inflight.top() <= now) {
-            u.inflight.pop();
-            shm_assert(u.outstanding > 0, "spurious completion");
-            --u.outstanding;
-            --outstanding_total;
-        }
+/**
+ * One calendar event for one SM of @p k's slice. @p source numbers
+ * SMs from the slice's first one; a partitioned tenant's private map
+ * yields slice-relative partitions, lifted here to global ids (both
+ * offsets are 0 outside partitioned scenarios).
+ */
+template <typename Source>
+void
+GpuSimulator::stepSm(KernelRun &k, Source &source, SmId sm, Cycle now)
+{
+    SmUnit &u = sms[sm];
 
-        if (!u.hasOp) {
-            if (!source.next(sm, u.op)) {
-                u.drained = true;
-                ++drainedCount;
-                last_drain = now;
-                continue;
-            }
-            u.hasOp = true;
-            u.pa = map.toLocal(u.op.addr);
-            if (u.op.computeInstrs > 0) {
-                // The reference loop retires one compute instruction
-                // per cycle over [now, now + N); batch them, clamped
-                // to the cycles that exist before the cap.
-                Cycle n = u.op.computeInstrs;
-                Cycle avail = cap_end - now; // >= 1 by the invariant
-                u.instructions += std::min(n, avail);
-                if (tracer)
-                    tracer->record(smLane, trace::EventKind::SmRetire,
-                                   now, static_cast<std::uint16_t>(sm),
-                                   std::min(n, avail));
-                if (n < avail)
-                    calendar.push(now + n, sm);
-                continue;
-            }
-            // computeInstrs == 0: the fetch cycle issues the memory op.
-        }
-
-        const mem::PartitionAddr pa = u.pa;
-        Partition &part = *partitions[pa.partition];
-
-        if (u.op.type == mem::AccessType::Read) {
-            if (u.outstanding >= currentWindow) {
-                // Window full: the reference loop burns one stall per
-                // cycle until this SM's earliest completion retires
-                // (nothing else shrinks its window). A zero window
-                // never unstalls — it spins to the cap.
-                Cycle retry = u.inflight.empty() ? cap_end
-                                                 : u.inflight.top();
-                u.windowStalls += std::min(retry, cap_end) - now;
-                if (retry < cap_end)
-                    calendar.push(retry, sm);
-                continue;
-            }
-            if (tracer)
-                tracer->record(smLane, trace::EventKind::SmIssue, now,
-                               static_cast<std::uint16_t>(sm), u.op.addr);
-            Cycle complete =
-                icnt.serveNow(makeTxn(u.op, pa, sm, now), part);
-            u.inflight.push(complete);
-            max_completion = std::max(max_completion, complete);
-            ++u.outstanding;
-            ++outstanding_total;
-        } else {
-            if (tracer)
-                tracer->record(smLane, trace::EventKind::SmIssue, now,
-                               static_cast<std::uint16_t>(sm),
-                               u.op.addr | (1ull << 63));
-            icnt.serveNow(makeTxn(u.op, pa, sm, now), part);
-        }
-        ++u.instructions;
-        u.hasOp = false;
-        if (now + 1 < cap_end)
-            calendar.push(now + 1, sm); // back-to-back issue
+    // Retire this SM's completed loads before its window check; the
+    // reference loop retires all completions <= now before ticking
+    // any SM, and retirement only touches the owner.
+    while (!u.inflight.empty() && u.inflight.top() <= now) {
+        u.inflight.pop();
+        shm_assert(u.outstanding > 0, "spurious completion");
+        --u.outstanding;
     }
 
-    // Wind the clock to where the reference loop would have stopped:
-    // one past the last event if everything drained and landed before
-    // the cap, the cap itself (with the cap-hit bookkeeping) if not.
+    if (!u.hasOp) {
+        if (!source.next(static_cast<SmId>(sm - k.smLo), u.op)) {
+            u.drained = true;
+            ++k.drained;
+            k.lastDrain = now;
+            return;
+        }
+        u.hasOp = true;
+        u.pa = k.addrMap->toLocal(u.op.addr);
+        u.pa.partition = static_cast<PartitionId>(u.pa.partition + k.partLo);
+        if (u.op.computeInstrs > 0) {
+            // The reference loop retires one compute instruction per
+            // cycle over [now, now + N); batch them, clamped to the
+            // cycles that exist before the cap.
+            Cycle n = u.op.computeInstrs;
+            Cycle avail = k.capEnd - now; // >= 1 by the invariant
+            u.instructions += std::min(n, avail);
+            if (tracer)
+                tracer->record(smLane, trace::EventKind::SmRetire, now,
+                               static_cast<std::uint16_t>(sm),
+                               std::min(n, avail));
+            if (n < avail) {
+                calendar.push(now + n, sm);
+                ++k.eventsPending;
+            }
+            return;
+        }
+        // computeInstrs == 0: the fetch cycle issues the memory op.
+    }
+
+    const mem::PartitionAddr pa = u.pa;
+    Partition &part = *partitions[pa.partition];
+
+    if (u.op.type == mem::AccessType::Read) {
+        if (u.outstanding >= k.window) {
+            // Window full: the reference loop burns one stall per
+            // cycle until this SM's earliest completion retires
+            // (nothing else shrinks its window). A zero window never
+            // unstalls — it spins to the cap.
+            Cycle retry = u.inflight.empty() ? k.capEnd : u.inflight.top();
+            u.windowStalls += std::min(retry, k.capEnd) - now;
+            if (retry < k.capEnd) {
+                calendar.push(retry, sm);
+                ++k.eventsPending;
+            }
+            return;
+        }
+        if (tracer)
+            tracer->record(smLane, trace::EventKind::SmIssue, now,
+                           static_cast<std::uint16_t>(sm), u.op.addr);
+        Cycle complete = icnt.serveNow(makeTxn(u.op, pa, sm, now), part);
+        u.inflight.push(complete);
+        k.maxCompletion = std::max(k.maxCompletion, complete);
+        ++u.outstanding;
+    } else {
+        if (tracer)
+            tracer->record(smLane, trace::EventKind::SmIssue, now,
+                           static_cast<std::uint16_t>(sm),
+                           u.op.addr | (1ull << 63));
+        icnt.serveNow(makeTxn(u.op, pa, sm, now), part);
+    }
+    ++u.instructions;
+    u.hasOp = false;
+    if (now + 1 < k.capEnd) {
+        calendar.push(now + 1, sm); // back-to-back issue
+        ++k.eventsPending;
+    }
+}
+
+/**
+ * @p k's calendar went quiet: wind the clock to where the reference
+ * loop would have stopped — one past the last event if everything
+ * drained and landed before the cap, the cap itself (with the cap-hit
+ * bookkeeping) if not.
+ */
+Cycle
+GpuSimulator::kernelTail(KernelRun &k)
+{
     Cycle final_cycle;
     bool cap_hit;
-    if (drainedCount == gpuConfig.numSms) {
-        Cycle done = std::max(last_drain, max_completion);
-        cap_hit = done >= cap_end;
-        final_cycle = cap_hit ? cap_end : done + 1;
+    if (k.drained == k.numSms()) {
+        const Cycle done = std::max(k.lastDrain, k.maxCompletion);
+        cap_hit = done >= k.capEnd;
+        final_cycle = cap_hit ? k.capEnd : done + 1;
     } else {
         // Some SM was frozen by the cap mid-compute or mid-stall.
         cap_hit = true;
-        final_cycle = cap_end;
+        final_cycle = k.capEnd;
     }
     if (cap_hit)
         ++statCycleCapHits;
@@ -528,248 +508,26 @@ GpuSimulator::eventKernelLoop(Source &source, std::uint32_t window)
     // abandoned (as in the reference loop); on a normal exit every
     // completion is <= final_cycle but was never lazily popped if its
     // SM drained first — either way the heaps end the kernel empty.
-    for (auto &u : sms) {
-        u.inflight.clear();
-        u.outstanding = 0;
+    for (std::uint32_t s = k.smLo; s < k.smHi; ++s) {
+        sms[s].inflight.clear();
+        sms[s].outstanding = 0;
     }
-    outstanding_total = 0;
-    currentCycle = final_cycle;
 
-    std::uint64_t advanced = final_cycle - kernel_start;
-    cyclesSkipped += advanced - busy_cycles;
+    const std::uint64_t advanced = final_cycle - k.kernelStart;
+    cyclesSkipped += advanced - k.busyCycles;
     if (profile::enabled()) {
         profile::addCount(profile::Counter::KernelCycles, advanced);
         profile::addCount(profile::Counter::CyclesSkipped,
-                          advanced - busy_cycles);
+                          advanced - k.busyCycles);
     }
+    return final_cycle;
 }
 
-/**
- * The sharded kernel engine: eventKernelLoop cut into epochs no longer
- * than the minimum SM->partition->SM round trip (epochLength).
- *
- * Inside an epoch the SM loop runs exactly the event engine's event
- * sequence, but memory ops become transactions in the domains'
- * inboxes instead of synchronous partition calls. At the epoch
- * barrier the ShardPool drains every domain — each domain's inbox is
- * its partitions' serial call sequence in the serial order, replayed
- * with the recorded issue cycles against partition-confined state, so
- * the arithmetic is bit-identical — and the replies come home before
- * any SM could need them: a read issued inside the epoch completes at
- * or after the epoch's end by the round-trip bound.
- *
- * The one place the serial engine peeks at a completion mid-epoch is
- * a window-stalled SM's retry cycle (its earliest in-flight
- * completion). If a delivered completion earlier than the epoch limit
- * exists it is authoritative (undelivered ones land at or after the
- * limit); otherwise the SM parks and the barrier resolves the retry
- * with the serial loop's exact stall accounting, charged from the
- * original stall cycle.
- */
-template <typename Source>
-void
-GpuSimulator::shardedKernelLoop(Source &source, std::uint32_t window)
-{
-    profile::ScopedTimer timer(profile::Phase::KernelLoop);
-
-    currentWindow = window;
-    const Cycle kernel_start = currentCycle;
-    const Cycle cap_end =
-        gpuConfig.maxCyclesPerKernel > invalidCycle - kernel_start
-            ? invalidCycle
-            : kernel_start + gpuConfig.maxCyclesPerKernel;
-
-    calendar.clear(kernel_start);
-    for (auto &u : sms) {
-        u.hasOp = false;
-        u.computeLeft = 0;
-        u.drained = false;
-        shm_assert(u.inflight.empty(), "in-flight loads across kernels");
-    }
-    for (SmId sm = 0; sm < gpuConfig.numSms; ++sm)
-        calendar.push(kernel_start, sm);
-    drainedCount = 0;
-    parked.clear();
-    pendingTxns = 0;
-
-    Cycle max_completion = 0;
-    Cycle last_drain = kernel_start;
-    Cycle cursor = invalidCycle;
-    std::uint64_t busy_cycles = 0;
-    Cycle epoch_base = kernel_start;
-
-    while (!calendar.empty() || pendingTxns > 0 || !parked.empty()) {
-        const Cycle epoch_lim =
-            epochLength > cap_end - epoch_base ? cap_end
-                                               : epoch_base + epochLength;
-
-        while (!calendar.empty() && calendar.minCycle() < epoch_lim) {
-            auto [now, sm] = calendar.popMin();
-            if (now != cursor) {
-                if (tracer && cursor != invalidCycle && now > cursor + 1)
-                    tracer->record(smLane, trace::EventKind::CalendarSkip,
-                                   now, static_cast<std::uint16_t>(sm),
-                                   now - cursor - 1);
-                cursor = now;
-                ++busy_cycles;
-            }
-            SmUnit &u = sms[sm];
-
-            while (!u.inflight.empty() && u.inflight.top() <= now) {
-                u.inflight.pop();
-                shm_assert(u.outstanding > 0, "spurious completion");
-                --u.outstanding;
-            }
-
-            if (!u.hasOp) {
-                if (!source.next(sm, u.op)) {
-                    u.drained = true;
-                    ++drainedCount;
-                    last_drain = now;
-                    continue;
-                }
-                u.hasOp = true;
-                u.pa = map.toLocal(u.op.addr);
-                if (u.op.computeInstrs > 0) {
-                    Cycle n = u.op.computeInstrs;
-                    Cycle avail = cap_end - now;
-                    u.instructions += std::min(n, avail);
-                    if (tracer)
-                        tracer->record(smLane, trace::EventKind::SmRetire,
-                                       now,
-                                       static_cast<std::uint16_t>(sm),
-                                       std::min(n, avail));
-                    if (n < avail)
-                        calendar.push(now + n, sm);
-                    continue;
-                }
-            }
-
-            const mem::PartitionAddr pa = u.pa;
-
-            if (u.op.type == mem::AccessType::Read) {
-                if (u.outstanding >= currentWindow) {
-                    if (!u.inflight.empty() &&
-                        u.inflight.top() < epoch_lim) {
-                        // Delivered and earlier than anything still in
-                        // flight: the serial retry cycle.
-                        Cycle retry = u.inflight.top();
-                        u.windowStalls += retry - now;
-                        calendar.push(retry, sm);
-                    } else {
-                        parked.push_back({sm, now});
-                    }
-                    continue;
-                }
-                if (tracer)
-                    tracer->record(smLane, trace::EventKind::SmIssue, now,
-                                   static_cast<std::uint16_t>(sm),
-                                   u.op.addr);
-                icnt.stageSubmit(makeTxn(u.op, pa, sm, now));
-                ++pendingTxns;
-                ++u.outstanding;
-            } else {
-                if (tracer)
-                    tracer->record(smLane, trace::EventKind::SmIssue, now,
-                                   static_cast<std::uint16_t>(sm),
-                                   u.op.addr | (1ull << 63));
-                icnt.stageSubmit(makeTxn(u.op, pa, sm, now));
-                ++pendingTxns;
-            }
-            ++u.instructions;
-            u.hasOp = false;
-            if (now + 1 < cap_end)
-                calendar.push(now + 1, sm); // back-to-back issue
-        }
-
-        // Epoch barrier: every domain drains its inbox (on the pool's
-        // workers), then replies and the domain-private crossbar stats
-        // merge back in ascending domain order.
-        if (pendingTxns > 0) {
-            icnt.flushStaged();
-            shardPool->runEpoch();
-            // The domain-private crossbar stat shadows are NOT merged
-            // here: they are four integer-valued counts per domain, so
-            // letting them accumulate across epochs and summing once
-            // at kernel teardown produces the same bits while taking
-            // the merge walk off the per-epoch barrier path.
-            icnt.forEachReply([&](const mem::TxnReply &r) {
-                sms[r.sm].inflight.push(r.complete);
-                max_completion = std::max(max_completion, r.complete);
-            });
-            if (tracer) {
-                tracer->record(smLane, trace::EventKind::EpochBarrier,
-                               epoch_lim, 0, pendingTxns);
-                // The workers are quiescent until the next runEpoch()
-                // (the barrier's release/acquire edges order their ring
-                // writes before this drain), so the shared partition
-                // lanes can be emptied here — bounding drops to one
-                // epoch's worth of events per lane.
-                tracer->drainAll();
-            }
-            pendingTxns = 0;
-        }
-        // Parked SMs now see every in-flight completion; resolve their
-        // retries exactly as the serial stall path would have.
-        for (const ParkedSm &pk : parked) {
-            SmUnit &u = sms[pk.sm];
-            Cycle retry =
-                u.inflight.empty() ? cap_end : u.inflight.top();
-            u.windowStalls += std::min(retry, cap_end) - pk.stallCycle;
-            if (retry < cap_end)
-                calendar.push(retry, pk.sm);
-        }
-        parked.clear();
-
-        if (!calendar.empty())
-            epoch_base = std::max(epoch_lim, calendar.minCycle());
-    }
-
-    // Identical tail to eventKernelLoop: wind the clock to where the
-    // reference loop would have stopped. The loop above only exits
-    // after a barrier with nothing pending, so max_completion covers
-    // every reply.
-    Cycle final_cycle;
-    bool cap_hit;
-    if (drainedCount == gpuConfig.numSms) {
-        Cycle done = std::max(last_drain, max_completion);
-        cap_hit = done >= cap_end;
-        final_cycle = cap_hit ? cap_end : done + 1;
-    } else {
-        cap_hit = true;
-        final_cycle = cap_end;
-    }
-    if (cap_hit)
-        ++statCycleCapHits;
-    for (auto &u : sms) {
-        u.inflight.clear();
-        u.outstanding = 0;
-    }
-    currentCycle = final_cycle;
-
-    // Kernel teardown: fold the accumulated per-domain stat shadows
-    // into the global counters, overlapped with the trace-lane export
-    // when a tracer is attached. The two touch disjoint data (domain
-    // StatGroups vs the SPSC ring lanes) and the pool workers are
-    // quiescent after the final barrier, so running them concurrently
-    // is race-free; the sum itself is order-independent (integer
-    // counts), keeping results bit-identical to the serial merge.
-    if (tracer) {
-        std::thread merger([this] { icnt.mergeShardStats(); });
-        tracer->drainAll();
-        merger.join();
-    } else {
-        icnt.mergeShardStats();
-    }
-
-    std::uint64_t advanced = final_cycle - kernel_start;
-    cyclesSkipped += advanced - busy_cycles;
-    if (profile::enabled()) {
-        profile::addCount(profile::Counter::KernelCycles, advanced);
-        profile::addCount(profile::Counter::CyclesSkipped,
-                          advanced - busy_cycles);
-    }
-}
+// The scenario engine (scenario_run.cc) drives tenants' KernelTraces.
+template void GpuSimulator::drainCalendar(KernelRun &,
+                                          workload::KernelTrace &, Cycle);
+template void GpuSimulator::stepSm(KernelRun &, workload::KernelTrace &,
+                                   SmId, Cycle);
 
 template <typename Source>
 void

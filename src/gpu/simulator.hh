@@ -26,7 +26,6 @@
 #include "gpu/params.hh"
 #include "gpu/interconnect.hh"
 #include "gpu/partition.hh"
-#include "gpu/shard_pool.hh"
 #include "mee/engine.hh"
 #include "mem/addr_map.hh"
 #include "meta/counters.hh"
@@ -61,9 +60,7 @@ class GpuSimulator : public mee::DramRouter
      * one GPU by the scenario's share policy — time-sliced context
      * switching (per-quantum ownership of every SM and partition,
      * detector state flushed/re-armed at each switch) or MIG-style
-     * static SM/partition splits. Drive with runScenario(); the
-     * engine is serial (the shard engine is clamped to one shard), so
-     * results are bit-identical for every --shards/--jobs value.
+     * static SM/partition splits. Drive with runScenario().
      */
     GpuSimulator(const GpuParams &gpu_params,
                  const mee::MeeParams &mee_params,
@@ -83,9 +80,8 @@ class GpuSimulator : public mee::DramRouter
     /**
      * Attach a flight recorder (see common/trace.hh). The tracer must
      * have numPartitions + 1 lanes: one per partition plus the SM
-     * scheduler lane; this call names the lanes and marks the
-     * partition lanes shared when the sharded engine will run. Call
-     * before run(); pass null to detach.
+     * scheduler lane; this call names the lanes. Call before run();
+     * pass null to detach.
      */
     void attachTracer(trace::Tracer *t);
 
@@ -123,12 +119,44 @@ class GpuSimulator : public mee::DramRouter
     };
 
     /**
+     * One kernel launch's event-engine state over a slice of the GPU.
+     * A plain run builds one per kernel for the whole GPU; a scenario
+     * tenant keeps one in its context, so a kernel can pause at a
+     * slice boundary and resume with the exact arithmetic an
+     * uninterrupted run would have done.
+     */
+    struct KernelRun
+    {
+        /** @{ Resource slice: the SMs and partitions the kernel runs
+         *  on and the map that routes its addresses into them (the
+         *  whole GPU and the global map outside partitioned
+         *  scenarios). */
+        std::uint32_t smLo = 0, smHi = 0;
+        PartitionId partLo = 0, partHi = 0;
+        const mem::AddressMap *addrMap = nullptr;
+        /** @} */
+
+        std::uint32_t window = 0;        //!< per-SM outstanding loads
+        Cycle kernelStart = 0;
+        Cycle capEnd = 0;                //!< cycle budget ends here
+        Cycle maxCompletion = 0;         //!< latest load completion
+        Cycle lastDrain = 0;             //!< cycle the last SM drained
+        Cycle cursor = invalidCycle;     //!< cycle of the last event
+        std::uint64_t busyCycles = 0;    //!< distinct event cycles
+        std::uint32_t drained = 0;       //!< SMs whose trace ran out
+        std::uint64_t eventsPending = 0; //!< this run's calendar events
+
+        std::uint32_t numSms() const { return smHi - smLo; }
+        std::uint32_t numParts() const
+        {
+            return static_cast<std::uint32_t>(partHi - partLo);
+        }
+    };
+
+    /**
      * One tenant's execution context in a scenario run. Owns the
-     * tenant's address layout and — in time-sliced mode — the saved
-     * SM/calendar state between dispatches. The per-kernel fields
-     * mirror eventKernelLoop's locals; the scenario engine keeps them
-     * here so a kernel can pause at a slice boundary and resume with
-     * the exact arithmetic the serial loop would have run.
+     * tenant's address layout, its kernel run and — in time-sliced
+     * mode — the saved SM/calendar state between dispatches.
      */
     struct TenantContext
     {
@@ -144,32 +172,21 @@ class GpuSimulator : public mee::DramRouter
         std::uint16_t id = 0;
         std::vector<Addr> bufferBases;
 
-        /** @{ Resource slice. Time-sliced: the whole GPU and the
-         *  global address map. Partitioned: contiguous SM/partition
-         *  ranges and a private map over the tenant's partitions. */
-        std::uint32_t smLo = 0, smHi = 0;
-        PartitionId partLo = 0, partHi = 0;
-        const mem::AddressMap *addrMap = nullptr;
+        /** Partitioned mode's private map over the tenant's
+         *  partitions (run.addrMap points at it). */
         std::unique_ptr<mem::AddressMap> ownedMap;
-        /** @} */
 
         State state = State::NotArrived;
         Cycle wake = 0; //!< earliest useful dispatch (NotArrived/Draining)
 
-        /** @{ Current kernel. */
+        /** @{ Current kernel. Time-sliced: the slice is the whole
+         *  GPU and the global map. Partitioned: contiguous SM and
+         *  partition ranges and ownedMap. */
+        KernelRun run;
         std::uint32_t nextKernel = 0;
         std::unique_ptr<workload::KernelTrace> source;
-        std::uint32_t window = 0;
         bool kernelActive = false;
         std::uint64_t kernelTraceIdx = 0;
-        Cycle kernelStart = 0;
-        Cycle capEnd = 0;
-        Cycle maxCompletion = 0;
-        Cycle lastDrain = 0;
-        Cycle cursor = invalidCycle;
-        std::uint64_t busyCycles = 0;
-        std::uint32_t drained = 0;
-        std::uint64_t eventsPending = 0;
         /** @} */
 
         /** @{ Saved context between time-sliced dispatches: the SM
@@ -200,12 +217,6 @@ class GpuSimulator : public mee::DramRouter
         std::uint64_t kernelsRun = 0;
         std::uint64_t dispatches = 0;
         /** @} */
-
-        std::uint32_t numSms() const { return smHi - smLo; }
-        std::uint32_t numParts() const
-        {
-            return static_cast<std::uint32_t>(partHi - partLo);
-        }
     };
 
     void init();
@@ -220,9 +231,6 @@ class GpuSimulator : public mee::DramRouter
     void runTimeSliced();
     void runPartitioned();
     Cycle runTenantSlice(TenantContext &t, Cycle now, Cycle slice_end);
-    void processTenantEvents(TenantContext &t, Cycle limit);
-    void stepSmEvent(TenantContext &t, SmId sm, Cycle now);
-    Cycle computeKernelTail(TenantContext &t);
     void startTenantKernel(TenantContext &t, Cycle at);
     void advanceTenantKernel(TenantContext &t, Cycle at);
     void contextSwitchTo(std::uint32_t pick, Cycle now);
@@ -234,18 +242,18 @@ class GpuSimulator : public mee::DramRouter
     /** Event-driven engine: jumps between SM ready cycles. */
     template <typename Source>
     void eventKernelLoop(Source &source, std::uint32_t window);
-    /**
-     * Sharded engine (`--shards N`, N > 1): the event engine split
-     * into fixed epochs. SM events inside an epoch enqueue
-     * transactions instead of calling the partitions; at the epoch
-     * barrier the ShardPool workers drain every domain and the
-     * replies come back before any SM could observe them (the epoch
-     * never exceeds the minimum SM->partition->SM round trip), so the
-     * event sequence — and every statistic — is bit-identical to
-     * eventKernelLoop (tests/test_shard_diff.cc).
-     */
+    /** @{ The event engine's pieces, shared by eventKernelLoop and
+     *  the scenario engine: launch a kernel over @p k's slice at
+     *  @p at, run its calendar events before @p limit, step one SM
+     *  through one event, and wind the clock to the kernel's end once
+     *  its calendar is empty (returns the end cycle). */
+    void beginKernel(KernelRun &k, std::uint32_t window, Cycle at);
     template <typename Source>
-    void shardedKernelLoop(Source &source, std::uint32_t window);
+    void drainCalendar(KernelRun &k, Source &source, Cycle limit);
+    template <typename Source>
+    void stepSm(KernelRun &k, Source &source, SmId sm, Cycle now);
+    Cycle kernelTail(KernelRun &k);
+    /** @} */
     /** Per-cycle reference engine (the original loop); selected by
      *  GpuParams::referenceKernelLoop, kept as the differential-test
      *  oracle the event engine must match bit for bit. */
@@ -292,33 +300,17 @@ class GpuSimulator : public mee::DramRouter
      *  numSms ids in init(). */
     CalendarQueue calendar{1};
 
-    /** @{ Shard engine (built in init() when gpu.shards > 1 buys
-     *  anything; see the coupling discussion there). */
-    std::unique_ptr<ShardPool> shardPool;
-    std::uint32_t effectiveShards = 1;
-    /** Epoch length: the minimum SM->partition->SM feedback distance,
-     *  2 * (icntLatency + 1) + l2HitLatency. */
-    Cycle epochLength = 0;
-    /** An SM whose window-stall retry cycle is unknowable mid-epoch
-     *  (its earliest completion is still in flight); resolved at the
-     *  next barrier with the serial loop's exact stall accounting. */
-    struct ParkedSm
-    {
-        SmId sm;
-        Cycle stallCycle;
-    };
-    std::vector<ParkedSm> parked;
-    std::uint64_t pendingTxns = 0; //!< submitted since the last barrier
-    /** @} */
-
     /** Flight recorder; null (the default) means tracing is off. The
      *  SM scheduler emits on lane smLane = numPartitions. */
     trace::Tracer *tracer = nullptr;
     std::uint32_t smLane = 0;
 
     Cycle currentCycle = 0;
+    /** @{ Reference engine only (the event engine keeps these in its
+     *  KernelRun). */
     std::uint32_t currentWindow = 0; //!< per-kernel occupancy cap
     std::uint32_t drainedCount = 0;  //!< SMs whose trace is exhausted
+    /** @} */
     /** Cycles the event engine advanced over without enumerating. */
     std::uint64_t cyclesSkipped = 0;
     detect::AccessProfile *collector = nullptr;

@@ -53,6 +53,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 
 #include "common/json.hh"
@@ -76,7 +77,11 @@ using namespace shmgpu;
 namespace
 {
 
-/** Minimal --flag=value / --flag value parser. */
+/**
+ * Minimal --flag=value / --flag value parser. Every key a subcommand
+ * reads is recorded, so assertConsumed() can reject the flags it
+ * never read — as Config::assertConsumed does for override keys.
+ */
 class Args
 {
   public:
@@ -100,14 +105,31 @@ class Args
     std::string
     get(const std::string &key, const std::string &fallback = "") const
     {
+        consumed.insert(key);
         auto it = values.find(key);
         return it == values.end() ? fallback : it->second;
     }
 
-    bool has(const std::string &key) const { return values.contains(key); }
+    bool
+    has(const std::string &key) const
+    {
+        consumed.insert(key);
+        return values.contains(key);
+    }
+
+    /** Fatal if @p command never read some flag (unknown or typo). */
+    void
+    assertConsumed(const std::string &command) const
+    {
+        for (const auto &[key, value] : values) {
+            if (!consumed.contains(key))
+                shm_fatal("{}: unknown flag '--{}'", command, key);
+        }
+    }
 
   private:
     std::map<std::string, std::string> values;
+    mutable std::set<std::string> consumed;
 };
 
 int
@@ -119,7 +141,7 @@ usage()
               "  shmgpu list\n"
               "  shmgpu run (--workload NAME | --spec FILE |"
               " --scenario FILE) [--scheme SHM]"
-              " [--gpu turing|big|test] [--cycles N] [--shards N]"
+              " [--gpu turing|big|test] [--cycles N]"
               " [--policy lru|fifo|random|s3fifo|sieve]"
               " [--crypto auto|scalar|aesni|vaes]"
               " [--overrides CFG]"
@@ -129,7 +151,7 @@ usage()
               " [--trace OUT.json] [--trace-text OUT.txt]\n"
               "  shmgpu sweep [--workloads a,b,c|all] [--schemes X,Y|all]"
               " [--jobs N] [--gpu turing|big|test] [--cycles N]"
-              " [--shards N] [--policy P] [--policies P,Q|all]"
+              " [--policy P] [--policies P,Q|all]"
               " [--adapt-epoch N] [--adapt-thresholds R,S,M]"
               " [--adapt-epochs E1,E2,...]"
               " [--zipf-footprints S1,S2,... [--zipf-alphas A1,A2,...]]"
@@ -145,7 +167,7 @@ usage()
               "  shmgpu trace info --in FILE\n"
               "  shmgpu trace-info --in TRACE.json\n"
               "  shmgpu bench-self [--quick] [--cycles N] [--reps N]"
-              " [--gpu turing|big|test] [--shards N] [--policy P]"
+              " [--gpu turing|big|test] [--policy P]"
               " [--schemes X,Y] [--adapt-epoch N]"
               " [--crypto auto|scalar|aesni|vaes] [--overrides CFG]"
               " [--out BENCH_hotpath.json]"
@@ -171,7 +193,7 @@ printSummary(const core::ExperimentResult &r)
 }
 
 int
-cmdList()
+cmdList(const Args &)
 {
     std::puts("workloads (Table VII):");
     for (const auto &w : workload::allWorkloads())
@@ -239,12 +261,6 @@ gpuParamsFrom(const Args &args, trace::TraceParams *trace_params = nullptr,
     std::string cycles = args.get("cycles");
     if (!cycles.empty())
         gp.maxCyclesPerKernel = std::stoull(cycles);
-    // Worker threads per simulation (also gpu.shards override). Note
-    // a sweep runs --jobs x --shards threads: --jobs parallelizes
-    // across grid cells, --shards inside one simulation.
-    std::string shards = args.get("shards");
-    if (!shards.empty())
-        gp.shards = static_cast<std::uint32_t>(std::stoul(shards));
     // A/B escape hatch: drive the per-cycle reference engine instead
     // of the event-driven calendar (also gpu.reference_loop override).
     if (args.has("reference-loop"))
@@ -678,6 +694,10 @@ cmdSweep(const Args &args)
     if (!cancel_after.empty())
         sweep_opts.cancelAfter = std::stoull(cancel_after);
 
+    // Read before running: a cancelled sweep returns early, and a flag
+    // left unread would then be rejected as unknown.
+    const std::string out = args.get("out");
+
     std::vector<core::ExperimentResult> results;
     std::string policy_list = args.get("policies");
     try {
@@ -746,7 +766,6 @@ cmdSweep(const Args &args)
         std::printf("cells: %zu simulated, %zu loaded from %s\n",
                     tally.simulated, tally.cached, results_dir.c_str());
 
-    std::string out = args.get("out");
     if (!out.empty()) {
         std::ofstream os(out, std::ios::binary);
         if (!os)
@@ -797,13 +816,10 @@ cmdBenchSelf(const Args &args)
 
     gpu::GpuParams gp = gpu::presetByName(args.get("gpu", "turing"));
     gp.maxCyclesPerKernel = cycles;
-    std::string shards = args.get("shards");
-    if (!shards.empty())
-        gp.shards = static_cast<std::uint32_t>(std::stoul(shards));
     if (args.has("reference-loop"))
         gp.referenceKernelLoop = true;
     // --overrides reaches the engine knobs bench-self exercises
-    // (gpu.shard_spin, crypto.backend, cache.policy, ...); --crypto
+    // (crypto.backend, cache.policy, ...); --crypto
     // and --policy below still win over the file, like cmdRun.
     std::string overrides = args.get("overrides");
     if (!overrides.empty()) {
@@ -861,7 +877,6 @@ cmdBenchSelf(const Args &args)
     doc["gpu"] = args.get("gpu", "turing");
     doc["kernel_loop"] = gp.referenceKernelLoop ? "reference" : "event";
     doc["policy"] = mem::policyName(gp.l2Policy);
-    doc["shards"] = static_cast<std::uint64_t>(gp.shards);
     doc["cryptoBackend"] =
         crypto::backendName(crypto::activeBackend());
     doc["max_cycles_per_kernel"] = cycles;
@@ -1002,7 +1017,6 @@ cmdBenchSweep(const Args &args)
     doc["gpu"] = args.get("gpu", "test");
     doc["kernel_loop"] = gp.referenceKernelLoop ? "reference" : "event";
     doc["policy"] = mem::policyName(gp.l2Policy);
-    doc["shards"] = static_cast<std::uint64_t>(gp.shards);
     doc["cryptoBackend"] = crypto::backendName(crypto::activeBackend());
     doc["max_cycles_per_kernel"] = cycles;
     doc["cells"] = static_cast<std::uint64_t>(cells);
@@ -1148,7 +1162,6 @@ cmdBenchTenants(const Args &args)
     doc["gpu"] = args.get("gpu", "test");
     doc["kernel_loop"] = gp.referenceKernelLoop ? "reference" : "event";
     doc["policy"] = mem::policyName(gp.l2Policy);
-    doc["shards"] = static_cast<std::uint64_t>(gp.shards);
     doc["cryptoBackend"] = crypto::backendName(crypto::activeBackend());
     doc["max_cycles_per_kernel"] = cycles;
     doc["cells"] = static_cast<std::uint64_t>(cells);
@@ -1235,13 +1248,7 @@ cmdTraceInfo(const Args &args)
         }
     }
 
-    std::string dropped = "0";
-    if (doc.contains("otherData") &&
-        doc.at("otherData").contains("dropped_events"))
-        dropped = doc.at("otherData").at("dropped_events").asString();
-
-    std::printf("%llu events (%s dropped)\n",
-                static_cast<unsigned long long>(total), dropped.c_str());
+    std::printf("%llu events\n", static_cast<unsigned long long>(total));
     if (have_span)
         std::printf("cycle span: %.0f .. %.0f\n", first_ts, last_ts);
     std::puts("per class:");
@@ -1337,28 +1344,32 @@ main(int argc, char **argv)
 {
     if (argc < 2)
         return usage();
-    std::string cmd = argv[1];
+    const std::string cmd = argv[1];
 
-    if (cmd == "list")
-        return cmdList();
-    if (cmd == "run")
-        return cmdRun(Args(argc, argv, 2));
-    if (cmd == "sweep")
-        return cmdSweep(Args(argc, argv, 2));
-    if (cmd == "bench-self")
-        return cmdBenchSelf(Args(argc, argv, 2));
-    if (cmd == "bench-sweep")
-        return cmdBenchSweep(Args(argc, argv, 2));
-    if (cmd == "bench-tenants")
-        return cmdBenchTenants(Args(argc, argv, 2));
-    // Check before "trace": that prefix names the workload-trace
-    // subcommands, while trace-info summarizes a --trace export.
-    if (cmd == "trace-info")
-        return cmdTraceInfo(Args(argc, argv, 2));
+    // trace-info summarizes a --trace export; "trace" names the
+    // workload-trace subcommands, which take one more word.
     if (cmd == "trace") {
         if (argc < 3)
             return usage();
-        return cmdTrace(Args(argc, argv, 3), argv[2]);
+        Args args(argc, argv, 3);
+        int rc = cmdTrace(args, argv[2]);
+        args.assertConsumed(cmd + " " + argv[2]);
+        return rc;
     }
-    return usage();
+    static const std::map<std::string, int (*)(const Args &)> commands = {
+        {"list", cmdList},
+        {"run", cmdRun},
+        {"sweep", cmdSweep},
+        {"bench-self", cmdBenchSelf},
+        {"bench-sweep", cmdBenchSweep},
+        {"bench-tenants", cmdBenchTenants},
+        {"trace-info", cmdTraceInfo},
+    };
+    auto it = commands.find(cmd);
+    if (it == commands.end())
+        return usage();
+    Args args(argc, argv, 2);
+    int rc = it->second(args);
+    args.assertConsumed(cmd);
+    return rc;
 }

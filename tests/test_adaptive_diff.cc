@@ -2,10 +2,9 @@
  * @file
  * Differential fuzzing of the adaptive protection scheme
  * (Scheme::ShmAdaptive): mispredicted demotions must never break
- * integrity, and the adaptive timing engine must stay bit-identical
- * across shard counts.
+ * integrity.
  *
- * Three properties, each fuzzed over random workloads, controller
+ * Two properties, each fuzzed over random workloads, controller
  * threshold mixes and seeds:
  *
  *  1. Oracle replay: a SecureMemoryContext driven by a random
@@ -23,25 +22,18 @@
  *     freshness walk, so this is the proof the generation bump leaves
  *     exactly one authenticatable version.
  *
- *  3. Full-simulator determinism: SHM_adaptive runs (curated micros
- *     and random specs, several epochs and threshold settings) must
- *     produce bit-identical metrics and stats trees at shards 1/2/4.
+ * The adaptive timing engine's event-vs-reference equality lives in
+ * test_kernel_loop_diff.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
-#include "gpu/presets.hh"
-#include "gpu/simulator.hh"
 #include "mee/functional.hh"
-#include "schemes/schemes.hh"
-#include "workload/benchmarks.hh"
-#include "workload/spec.hh"
 
 using namespace shmgpu;
 using namespace shmgpu::mee;
@@ -362,148 +354,6 @@ TEST_P(AdaptiveDiff, TamperAfterDemotionAlwaysDetected)
     }
     EXPECT_EQ(detected, attacks)
         << "an attack against a demoted region slipped through";
-}
-
-namespace
-{
-
-/** Shard-diff harness specialized for the adaptive scheme: requires
- *  the full stats tree (which includes every adapt_* stat and the
- *  mode-residency histogram) plus the adaptive tallies to match. */
-void
-expectAdaptiveIdentical(const gpu::GpuParams &base,
-                        const mee::MeeParams &mp,
-                        const workload::WorkloadSpec &w,
-                        const std::string &what)
-{
-    SCOPED_TRACE(what);
-    auto run = [&](std::uint32_t shards) {
-        gpu::GpuParams gp = base;
-        gp.shards = shards;
-        gpu::GpuSimulator sim(gp, mp, w);
-        auto metrics = sim.run();
-        std::ostringstream os;
-        sim.statsRoot().dump(os);
-        return std::pair<gpu::RunMetrics, std::string>(metrics,
-                                                       os.str());
-    };
-    auto [serial_metrics, serial_stats] = run(1);
-    for (std::uint32_t shards : {2u, 4u}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        auto [metrics, stats] = run(shards);
-        EXPECT_EQ(metrics.cycles, serial_metrics.cycles);
-        EXPECT_EQ(metrics.ipc, serial_metrics.ipc);
-        EXPECT_EQ(metrics.bytesExtra, serial_metrics.bytesExtra);
-        EXPECT_EQ(metrics.adaptDemotions, serial_metrics.adaptDemotions);
-        EXPECT_EQ(metrics.adaptPromotions,
-                  serial_metrics.adaptPromotions);
-        EXPECT_EQ(metrics.adaptReencBytes,
-                  serial_metrics.adaptReencBytes);
-        EXPECT_EQ(stats, serial_stats);
-    }
-}
-
-/** Random spec shaped like test_shard_diff's generator, biased toward
- *  read-heavy streams so demotions actually fire. */
-workload::WorkloadSpec
-randomAdaptiveSpec(Rng &rng, unsigned idx)
-{
-    workload::WorkloadSpec w;
-    w.name = "adapt_rand_" + std::to_string(idx);
-    w.suite = "diff";
-    w.seed = rng.next();
-
-    std::uint32_t nbufs = 1 + static_cast<std::uint32_t>(rng.below(3));
-    for (std::uint32_t b = 0; b < nbufs; ++b) {
-        workload::BufferSpec buf;
-        buf.name = "b" + std::to_string(b);
-        buf.bytes = (64 + rng.below(192)) << 10;
-        w.buffers.push_back(buf);
-    }
-
-    static constexpr workload::Pattern patterns[] = {
-        workload::Pattern::Streaming, workload::Pattern::Random,
-        workload::Pattern::RandomHot, workload::Pattern::Strided};
-
-    std::uint32_t nkernels = 1 + static_cast<std::uint32_t>(rng.below(2));
-    for (std::uint32_t k = 0; k < nkernels; ++k) {
-        workload::KernelSpec ks;
-        ks.name = "k" + std::to_string(k);
-        ks.iterationsPerSm = 64 + rng.below(192);
-        ks.computePerMem = static_cast<std::uint32_t>(rng.below(4));
-        std::uint32_t nstreams =
-            1 + static_cast<std::uint32_t>(rng.below(3));
-        for (std::uint32_t s = 0; s < nstreams; ++s) {
-            workload::StreamSpec ss;
-            ss.buffer = static_cast<std::uint32_t>(rng.below(nbufs));
-            ss.pattern = patterns[rng.below(4)];
-            // Mostly reads, occasional writes: the interesting regime
-            // where regions demote and mispredictions promote back.
-            ss.write = rng.below(10) < 2;
-            ss.prob = 0.5 + 0.5 * static_cast<double>(rng.below(2));
-            ks.streams.push_back(ss);
-        }
-        if (k == 0) {
-            for (std::uint32_t b = 0; b < nbufs; ++b) {
-                workload::HostCopySpec hc;
-                hc.buffer = b;
-                hc.marksReadOnly = rng.below(4) != 0;
-                ks.preCopies.push_back(hc);
-            }
-        }
-        w.kernels.push_back(ks);
-    }
-    return w;
-}
-
-} // namespace
-
-TEST(AdaptiveShardDiff, MicrosAcrossEpochsAndThresholds)
-{
-    gpu::GpuParams gp = gpu::testConfig();
-    gp.numSms = 8;
-    gp.numPartitions = 6;
-
-    const AdaptThresholds mixes[] = {
-        {},                 // scheme defaults
-        {1, 2, 0.0},        // hair-trigger: everything demotes
-        {1000000, 1000000, 1.0}, // never demotes (pure-Full timing)
-    };
-    for (const auto &w :
-         {workload::makeStreamingMicro(1 << 20, 256),
-          workload::makeMixedMicro()}) {
-        for (Cycle epoch : {Cycle{0}, Cycle{2000}, Cycle{10000}}) {
-            for (const auto &th : mixes) {
-                mee::MeeParams mp = schemes::makeMeeParams(
-                    schemes::Scheme::ShmAdaptive);
-                mp.adaptEpoch = epoch;
-                mp.adaptThresholds = th;
-                expectAdaptiveIdentical(
-                    gp, mp, w,
-                    w.name + " epoch=" + std::to_string(epoch) +
-                        " ro>=" + std::to_string(th.roMinReads));
-            }
-        }
-    }
-}
-
-TEST(AdaptiveShardDiff, RandomizedSpecs)
-{
-    gpu::GpuParams gp = gpu::testConfig();
-    gp.numSms = 8;
-    gp.numPartitions = 6;
-    Rng rng(0xADA9u);
-    for (unsigned i = 0; i < 8; ++i) {
-        auto w = randomAdaptiveSpec(rng, i);
-        mee::MeeParams mp =
-            schemes::makeMeeParams(schemes::Scheme::ShmAdaptive);
-        mp.adaptEpoch = 1000 + rng.below(4) * 3000;
-        mp.adaptThresholds.roMinReads = 1 + rng.below(8);
-        mp.adaptThresholds.streamMinReads = 2 + rng.below(16);
-        mp.adaptThresholds.macOnlyMissRate =
-            0.25 * static_cast<double>(rng.below(4));
-        expectAdaptiveIdentical(gp, mp, w, w.name);
-    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AdaptiveDiff,

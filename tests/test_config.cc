@@ -10,7 +10,6 @@
 #include "common/config.hh"
 #include "core/overrides.hh"
 #include "crypto/dispatch.hh"
-#include "gpu/shard_pool.hh"
 #include "mem/replacement.hh"
 
 using namespace shmgpu;
@@ -161,18 +160,25 @@ TEST(Overrides, DefaultsUntouchedWithoutKeys)
     EXPECT_EQ(mp.macBytes, 8u);
 }
 
-TEST(Overrides, ShardSpinKey)
+TEST(Overrides, RemovedEngineKeysAreFatal)
 {
-    Config c = parse("gpu.shard_spin = 64\n");
-    gpu::GpuParams gp;
-    core::applyGpuOverrides(c, gp);
-    c.assertConsumed();
-    EXPECT_EQ(gp.shardSpin, 64u);
-
-    Config empty = parse("");
-    gpu::GpuParams gp2;
-    core::applyGpuOverrides(empty, gp2);
-    EXPECT_EQ(gp2.shardSpin, gpu::ShardPool::defaultSpinLimit);
+    // Keys of the removed multi-threaded engine and its tracer ring
+    // must fail loudly, not be silently ignored.
+    for (const char *key :
+         {"gpu.shards", "gpu.shard_spin", "trace.ring_capacity"}) {
+        EXPECT_DEATH(
+            {
+                Config c = parse(std::string(key) + " = 4\n");
+                gpu::GpuParams gp;
+                mee::MeeParams mp;
+                trace::TraceParams tp;
+                core::applyGpuOverrides(c, gp);
+                core::applyMeeOverrides(c, mp);
+                core::applyTraceOverrides(c, tp);
+                c.assertConsumed();
+            },
+            std::string("unknown configuration key '") + key + "'");
+    }
 }
 
 TEST(Overrides, CryptoBackendKey)

@@ -8,10 +8,11 @@
  * referenceKernelLoop behind GpuParams::referenceKernelLoop. This test
  * is the proof: it runs randomized workload specs — every pattern,
  * every scheme, small and cap-hitting cycle budgets, zero and tiny
- * outstanding-load windows — through both engines and requires the
- * full RunMetrics and the whole stats tree to match exactly (only the
- * event engine's own cycles_skipped counter is excluded, since the
- * reference loop never skips).
+ * outstanding-load windows, the non-default replacement policies, and
+ * SHM_adaptive across epochs and thresholds — through both engines
+ * and requires the full RunMetrics and the whole stats tree to match
+ * exactly (only the event engine's own cycles_skipped counter is
+ * excluded, since the reference loop never skips).
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "common/rng.hh"
 #include "gpu/presets.hh"
 #include "gpu/simulator.hh"
+#include "mem/replacement.hh"
 #include "schemes/schemes.hh"
 #include "workload/benchmarks.hh"
 #include "workload/spec.hh"
@@ -101,7 +103,21 @@ expectIdentical(const GpuParams &gp, const mee::MeeParams &mp,
     EXPECT_EQ(ev.metrics.dualMacFallbacks, ref.metrics.dualMacFallbacks);
     EXPECT_EQ(ev.metrics.victimHits, ref.metrics.victimHits);
     EXPECT_EQ(ev.metrics.victimInserts, ref.metrics.victimInserts);
+    EXPECT_EQ(ev.metrics.adaptDemotions, ref.metrics.adaptDemotions);
+    EXPECT_EQ(ev.metrics.adaptPromotions, ref.metrics.adaptPromotions);
+    EXPECT_EQ(ev.metrics.adaptReencBytes, ref.metrics.adaptReencBytes);
     EXPECT_EQ(ev.stats, ref.stats);
+}
+
+/** More SMs and partitions than testConfig, so several SMs contend
+ *  for each partition and the crossbar sees real contention. */
+GpuParams
+widerConfig()
+{
+    GpuParams gp = testConfig();
+    gp.numSms = 8;
+    gp.numPartitions = 6;
+    return gp;
 }
 
 /**
@@ -109,10 +125,11 @@ expectIdentical(const GpuParams &gp, const mee::MeeParams &mp,
  * covering all four access patterns, compute ratios 0..8 (0 exercises
  * issue-on-fetch), tiny outstanding windows (0 = GPU default, 1 and 2
  * maximize window stalls), and pre-copies with every read-only
- * marking combination.
+ * marking combination. Each stream writes with probability
+ * @p write_tenths / 10.
  */
 workload::WorkloadSpec
-randomSpec(Rng &rng, unsigned idx)
+randomSpec(Rng &rng, unsigned idx, std::uint64_t write_tenths = 3)
 {
     workload::WorkloadSpec w;
     w.name = "diff_rand_" + std::to_string(idx);
@@ -145,7 +162,7 @@ randomSpec(Rng &rng, unsigned idx)
             workload::StreamSpec ss;
             ss.buffer = static_cast<std::uint32_t>(rng.below(nbufs));
             ss.pattern = patterns[rng.below(4)];
-            ss.write = rng.below(10) < 3;
+            ss.write = rng.below(10) < write_tenths;
             ss.prob = 0.5 + 0.5 * static_cast<double>(rng.below(2));
             ks.streams.push_back(ss);
         }
@@ -224,4 +241,91 @@ TEST(KernelLoopDiff, ZeroWindowSpinsToCapIdentically)
         k.maxOutstanding = 1;
     expectIdentical(gp, schemes::makeMeeParams(schemes::Scheme::Shm), w,
                     "window=1 streaming");
+}
+
+TEST(KernelLoopDiff, OneLoadWindowOnWiderGpu)
+{
+    // The same one-load window with eight SMs sharing six partitions:
+    // every second read stalls on its only in-flight load while other
+    // SMs' traffic moves that load's completion.
+    GpuParams gp = widerConfig();
+    gp.smWindow = 4;
+    gp.maxCyclesPerKernel = 2000;
+    auto w = workload::makeStreamingMicro(1 << 20, 128);
+    for (auto &k : w.kernels)
+        k.maxOutstanding = 1;
+    expectIdentical(gp, schemes::makeMeeParams(schemes::Scheme::Shm), w,
+                    "window=1 streaming, 8 SMs");
+}
+
+TEST(KernelLoopDiff, PolicyVariantsStayIdentical)
+{
+    // Replacement-policy state (S3FIFO queues + ghost table, SIEVE's
+    // hand, the position-seeded Random stream) must see the same
+    // access sequence under both engines. ShmVL2 rides along for the
+    // victim-cache extraction path under the stateful policies.
+    GpuParams gp = widerConfig();
+    auto w = workload::makeMixedMicro();
+    for (mem::PolicyKind policy :
+         {mem::PolicyKind::S3Fifo, mem::PolicyKind::Sieve,
+          mem::PolicyKind::Random}) {
+        gp.l2Policy = policy;
+        for (auto s : {schemes::Scheme::Shm, schemes::Scheme::ShmVL2,
+                       schemes::Scheme::Naive}) {
+            mee::MeeParams mp = schemes::makeMeeParams(s);
+            mp.mdcPolicy = policy;
+            expectIdentical(gp, mp, w,
+                            std::string(mem::policyName(policy)) +
+                                " / " + schemes::schemeName(s));
+        }
+    }
+}
+
+TEST(KernelLoopDiff, AdaptiveMicrosAcrossEpochsAndThresholds)
+{
+    // The adaptive controller reclassifies at epoch boundaries of the
+    // access stream; both engines must drive it through the same
+    // decisions (the stats tree holds every adapt_* counter and the
+    // mode-residency histogram).
+    GpuParams gp = widerConfig();
+    const mee::AdaptThresholds mixes[] = {
+        {},                      // scheme defaults
+        {1, 2, 0.0},             // hair-trigger: everything demotes
+        {1000000, 1000000, 1.0}, // never demotes (pure-Full timing)
+    };
+    for (const auto &w :
+         {workload::makeStreamingMicro(1 << 20, 256),
+          workload::makeMixedMicro()}) {
+        for (Cycle epoch : {Cycle{0}, Cycle{2000}, Cycle{10000}}) {
+            for (const auto &th : mixes) {
+                mee::MeeParams mp = schemes::makeMeeParams(
+                    schemes::Scheme::ShmAdaptive);
+                mp.adaptEpoch = epoch;
+                mp.adaptThresholds = th;
+                expectIdentical(gp, mp, w,
+                                w.name + " epoch=" +
+                                    std::to_string(epoch) + " ro>=" +
+                                    std::to_string(th.roMinReads));
+            }
+        }
+    }
+}
+
+TEST(KernelLoopDiff, AdaptiveRandomizedSpecs)
+{
+    // Mostly-read specs, so regions demote and mispredictions promote
+    // them back, under random epochs and thresholds.
+    GpuParams gp = widerConfig();
+    Rng rng(0xADA9u);
+    for (unsigned i = 0; i < 8; ++i) {
+        auto w = randomSpec(rng, 200 + i, 2);
+        mee::MeeParams mp =
+            schemes::makeMeeParams(schemes::Scheme::ShmAdaptive);
+        mp.adaptEpoch = 1000 + rng.below(4) * 3000;
+        mp.adaptThresholds.roMinReads = 1 + rng.below(8);
+        mp.adaptThresholds.streamMinReads = 2 + rng.below(16);
+        mp.adaptThresholds.macOnlyMissRate =
+            0.25 * static_cast<double>(rng.below(4));
+        expectIdentical(gp, mp, w, w.name);
+    }
 }
