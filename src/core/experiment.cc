@@ -16,28 +16,84 @@ BaselineCache::BaselineCache(const gpu::GpuParams &gpu_params)
 {
 }
 
+ProfileGeometry
+profileGeometry(schemes::Scheme scheme)
+{
+    const mee::MeeParams p = schemes::makeMeeParams(scheme);
+    return {p.roDetector.regionBytes, p.streamDetector.chunkBytes};
+}
+
+bool
+needsProfile(schemes::Scheme scheme, const RunOptions &options)
+{
+    return options.collectAccuracy || schemes::needsProfilePass(scheme);
+}
+
+BaselineCache::Entry &
+BaselineCache::entryFor(const workload::WorkloadSpec &spec)
+{
+    std::lock_guard<std::mutex> lock(mutex);
+    auto &slot = entries[workload::contentHash(spec)];
+    if (!slot)
+        slot = std::make_unique<Entry>();
+    return *slot;
+}
+
+gpu::RunMetrics
+BaselineCache::simulate(const workload::WorkloadSpec &spec,
+                        detect::AccessProfile *collector)
+{
+    simulated.fetch_add(1);
+    gpu::GpuSimulator sim(gpuConfig,
+                          schemes::makeMeeParams(schemes::Scheme::Baseline),
+                          spec);
+    if (collector)
+        sim.collectProfile(collector);
+    return sim.run();
+}
+
 const gpu::RunMetrics &
 BaselineCache::metricsFor(const workload::WorkloadSpec &spec)
 {
-    const std::uint64_t key = workload::contentHash(spec);
-    Entry *entry = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        auto &slot = entries[key];
-        if (!slot)
-            slot = std::make_unique<Entry>();
-        entry = slot.get();
-    }
+    Entry &entry = entryFor(spec);
     // Simulate outside the map lock so unrelated lookups proceed;
     // call_once serializes exactly the threads needing this spec.
-    std::call_once(entry->once, [&] {
-        gpu::GpuSimulator sim(gpuConfig,
-                              schemes::makeMeeParams(
-                                  schemes::Scheme::Baseline),
-                              spec);
-        entry->metrics = sim.run();
+    std::call_once(entry.once,
+                   [&] { entry.metrics = simulate(spec, nullptr); });
+    return entry.metrics;
+}
+
+std::shared_ptr<const detect::AccessProfile>
+BaselineCache::profileFor(const workload::WorkloadSpec &spec,
+                          const ProfileGeometry &geometry)
+{
+    ProfileEntry *pe = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        auto &slot = profiles[{workload::contentHash(spec),
+                               geometry.regionBytes, geometry.chunkBytes}];
+        if (!slot)
+            slot = std::make_unique<ProfileEntry>();
+        pe = slot.get();
+    }
+    std::lock_guard<std::mutex> lock(pe->mutex);
+    if (auto held = pe->profile.lock())
+        return held;
+
+    auto profile = std::make_shared<detect::AccessProfile>(
+        gpuConfig.numPartitions, geometry.regionBytes, geometry.chunkBytes);
+    // If the metrics are still unsimulated, this one profiled run
+    // provides them; otherwise only the profile needs a pass.
+    Entry &entry = entryFor(spec);
+    bool collected = false;
+    std::call_once(entry.once, [&] {
+        entry.metrics = simulate(spec, profile.get());
+        collected = true;
     });
-    return entry->metrics;
+    if (!collected)
+        simulate(spec, profile.get());
+    pe->profile = profile;
+    return profile;
 }
 
 std::size_t
@@ -77,6 +133,11 @@ Experiment::run(schemes::Scheme scheme,
     result.scheme = schemes::schemeName(scheme);
     result.l2Policy = mem::policyName(gpuParams().l2Policy);
     result.mdcPolicy = mem::policyName(options.mdcPolicy);
+    // Ask for the profile first: when this cell is the spec's first
+    // user, one profiled Baseline run then provides both.
+    std::shared_ptr<const detect::AccessProfile> profile;
+    if (needsProfile(scheme, options))
+        profile = baselines->profileFor(spec, profileGeometry(scheme));
     result.baseline = baselineFor(spec);
 
     mee::MeeParams mee_params = schemes::makeMeeParams(scheme);
@@ -90,26 +151,11 @@ Experiment::run(schemes::Scheme scheme,
             ? static_cast<std::uint64_t>(mee_params.adaptEpoch)
             : 0;
 
-    std::optional<detect::AccessProfile> profile;
-    bool want_profile = options.collectAccuracy ||
-                        schemes::needsProfilePass(scheme);
-    if (want_profile) {
-        profile.emplace(gpuParams().numPartitions,
-                        mee_params.roDetector.regionBytes,
-                        mee_params.streamDetector.chunkBytes);
-        gpu::GpuSimulator pass1(gpuParams(),
-                                schemes::makeMeeParams(
-                                    schemes::Scheme::Baseline),
-                                spec);
-        pass1.collectProfile(&*profile);
-        pass1.run();
-    }
-
     gpu::GpuSimulator sim(gpuParams(), mee_params, spec);
     if (schemes::needsProfilePass(scheme))
         sim.primeFromProfile(*profile);
     if (profile)
-        sim.attributeAgainst(&*profile);
+        sim.attributeAgainst(profile.get());
 
     std::string trace_path = options.tracePath;
     if (trace_path.empty() && !options.traceDir.empty())

@@ -20,11 +20,13 @@
 #ifndef SHMGPU_CORE_EXPERIMENT_HH
 #define SHMGPU_CORE_EXPERIMENT_HH
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <tuple>
 
 #include "common/trace.hh"
 #include "gpu/energy.hh"
@@ -34,6 +36,11 @@
 #include "schemes/schemes.hh"
 #include "workload/benchmarks.hh"
 
+namespace shmgpu::detect
+{
+class AccessProfile;
+}
+
 namespace shmgpu::core
 {
 
@@ -41,9 +48,9 @@ namespace shmgpu::core
 struct RunOptions
 {
     /**
-     * Run a profiling pass first and attribute every prediction
-     * against its ground truth (enables the Fig. 10/11 tallies).
-     * Implied for SHM_upper_bound.
+     * Attribute every prediction against the ground truth of the
+     * spec's profiled Baseline run (BaselineCache::profileFor; enables
+     * the Fig. 10/11 tallies). Implied for SHM_upper_bound.
      */
     bool collectAccuracy = false;
 
@@ -114,13 +121,34 @@ struct ExperimentResult
     double normalizedEnergyPerInstr = 0;
 };
 
+/** Detector geometry a ground-truth profile is collected at. */
+struct ProfileGeometry
+{
+    std::uint64_t regionBytes = 0; //!< read-only detector region
+    std::uint64_t chunkBytes = 0;  //!< streaming detector chunk
+
+    auto operator<=>(const ProfileGeometry &) const = default;
+};
+
+/** The geometry @p scheme's detectors are judged (or primed) at. */
+ProfileGeometry profileGeometry(schemes::Scheme scheme);
+
+/** True when a @p scheme cell run with @p options needs a profile:
+ *  SHM_upper_bound primes from one, collectAccuracy attributes
+ *  against one. */
+bool needsProfile(schemes::Scheme scheme, const RunOptions &options);
+
 /**
- * Thread-safe store of no-security baseline metrics, keyed by
- * workload::contentHash so distinct specs sharing a name (regenerated
- * parameter sweeps) never alias. Each unique spec is simulated
- * exactly once even under concurrent lookups: the entry's once_flag
- * lets other threads wait for the in-flight simulation instead of
- * duplicating it.
+ * Thread-safe store of the no-security Baseline simulation of each
+ * spec: its metrics, and on request the ground-truth access profile
+ * collected along the way. Keyed by workload::contentHash so distinct
+ * specs sharing a name (regenerated parameter sweeps) never alias.
+ *
+ * Each unique spec's metrics are simulated exactly once even under
+ * concurrent lookups: the entry's once_flag lets other threads wait
+ * for the in-flight simulation instead of duplicating it. When the
+ * first request is for a profile, that one profiled run fills the
+ * metrics too (collecting a profile never changes them).
  */
 class BaselineCache
 {
@@ -131,8 +159,23 @@ class BaselineCache
      *  reference stays valid for the cache's lifetime. */
     const gpu::RunMetrics &metricsFor(const workload::WorkloadSpec &spec);
 
-    /** Number of distinct specs simulated so far. */
+    /**
+     * The finalized ground-truth profile of @p spec's Baseline run at
+     * @p geometry, shared read-only by every caller. The cache keeps
+     * only a weak reference: one profiled pass serves every request
+     * made while some caller still holds the profile, and the profile
+     * is freed when the last holder drops it (a later request
+     * simulates it again, bit-identically).
+     */
+    std::shared_ptr<const detect::AccessProfile>
+    profileFor(const workload::WorkloadSpec &spec,
+               const ProfileGeometry &geometry);
+
+    /** Number of distinct specs whose metrics were requested. */
     std::size_t size() const;
+
+    /** Baseline simulations run so far, profiled passes included. */
+    std::size_t simulations() const { return simulated.load(); }
 
     const gpu::GpuParams &gpuParams() const { return gpuConfig; }
 
@@ -143,11 +186,26 @@ class BaselineCache
         gpu::RunMetrics metrics;
     };
 
+    struct ProfileEntry
+    {
+        std::mutex mutex; //!< serializes the threads needing it
+        std::weak_ptr<const detect::AccessProfile> profile;
+    };
+
+    Entry &entryFor(const workload::WorkloadSpec &spec);
+    gpu::RunMetrics simulate(const workload::WorkloadSpec &spec,
+                             detect::AccessProfile *collector);
+
     gpu::GpuParams gpuConfig;
+    std::atomic<std::size_t> simulated{0};
     mutable std::mutex mutex;
     /** unique_ptr entries: node-stable addresses survive rehash-free
      *  map growth while other threads hold references. */
     std::map<std::uint64_t, std::unique_ptr<Entry>> entries;
+    /** Keyed by (spec content hash, region bytes, chunk bytes). */
+    std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>,
+             std::unique_ptr<ProfileEntry>>
+        profiles;
 };
 
 /** Runs experiments against a (possibly shared) baseline cache. */

@@ -42,6 +42,61 @@ SweepRunner::run(const std::vector<schemes::Scheme> &schemes,
     return runCells(cells, options);
 }
 
+std::vector<std::shared_ptr<const detect::AccessProfile>>
+SweepRunner::runBaseline(const workload::WorkloadSpec &spec,
+                         const std::vector<ProfileGeometry> &geometries)
+    const
+{
+    std::vector<std::shared_ptr<const detect::AccessProfile>> held;
+    if (geometries.empty())
+        baselines->metricsFor(spec);
+    for (const ProfileGeometry &g : geometries)
+        held.push_back(baselines->profileFor(spec, g));
+    return held;
+}
+
+namespace
+{
+
+/** Run @p worker on @p jobs threads (inline when jobs == 1). */
+template <typename Fn>
+void
+runOnPool(unsigned jobs, const Fn &worker)
+{
+    if (jobs == 1) {
+        worker();
+        return;
+    }
+    std::vector<std::thread> pool;
+    pool.reserve(jobs);
+    for (unsigned t = 0; t < jobs; ++t)
+        pool.emplace_back(worker);
+    for (auto &t : pool)
+        t.join();
+}
+
+/** One distinct spec's baseline, dispatched before any cell. */
+struct BaselineTask
+{
+    const workload::WorkloadSpec *spec = nullptr;
+    /** Lowest-index missed cell of the spec: where a failure lands. */
+    std::size_t firstCell = 0;
+    std::vector<ProfileGeometry> geometries;
+    std::vector<std::shared_ptr<const detect::AccessProfile>> held;
+    /** Holders of `held` still to finish: the consuming cells plus
+     *  the task itself. The last one out frees the profiles. */
+    std::atomic<std::size_t> users{1};
+
+    void
+    release()
+    {
+        if (users.fetch_sub(1) == 1)
+            held.clear();
+    }
+};
+
+} // namespace
+
 std::vector<ExperimentResult>
 SweepRunner::runCells(const std::vector<SweepCell> &cells,
                       const SweepOptions &options) const
@@ -58,12 +113,10 @@ SweepRunner::runCells(const std::vector<SweepCell> &cells,
         std::min<std::size_t>(jobs, n));
 
     const Experiment experiment(baselines, energyConfig);
-    std::atomic<std::size_t> next_cell{0};
     std::atomic<bool> stop{false};
     std::atomic<bool> auto_cancel{false};
     std::atomic<std::size_t> done{0};
     std::atomic<std::size_t> n_simulated{0};
-    std::atomic<std::size_t> n_cached{0};
     std::vector<std::exception_ptr> errors(n);
     // Which slots hold finished results — what SweepCancelled keeps.
     std::vector<std::atomic<bool>> finished(n);
@@ -72,59 +125,114 @@ SweepRunner::runCells(const std::vector<SweepCell> &cells,
         return (options.cancel && options.cancel->load()) ||
                auto_cancel.load();
     };
+    auto cell_done = [&] {
+        const std::size_t completed = done.fetch_add(1) + 1;
+        if (options.cancelAfter != 0 && completed >= options.cancelAfter)
+            auto_cancel.store(true);
+    };
 
-    const std::string &code_version = codeVersion();
-    const crypto::Backend backend = crypto::activeBackend();
+    // Phase 1: resolve result-cache hits, so only specs with a miss
+    // get a baseline task.
+    std::vector<std::uint64_t> keys(n);
+    if (options.cache) {
+        const std::string &code_version = codeVersion();
+        const crypto::Backend backend = crypto::activeBackend();
+        std::atomic<std::size_t> next{0};
+        runOnPool(jobs, [&] {
+            for (std::size_t i = next.fetch_add(1); i < n;
+                 i = next.fetch_add(1)) {
+                if (stop.load() || cancelled())
+                    return;
+                try {
+                    keys[i] = cellKey(baselines->gpuParams(), energyConfig,
+                                      options.run, cells[i].scheme,
+                                      *cells[i].spec, backend,
+                                      code_version);
+                    if (options.cache->load(keys[i], &results[i])) {
+                        finished[i].store(true);
+                        cell_done();
+                    }
+                } catch (...) {
+                    errors[i] = std::current_exception();
+                    stop.store(true);
+                }
+            }
+        });
+    }
+    const std::size_t n_cached = done.load();
 
-    auto worker = [&] {
+    // Phase 2: one baseline task per distinct spec with a miss (first
+    // appearance order), then the missed cells in grid order.
+    std::vector<std::size_t> misses;
+    std::map<std::uint64_t, std::size_t> task_of_spec;
+    std::vector<std::size_t> task_of_cell(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (finished[i].load())
+            continue;
+        shm_assert(cells[i].spec != nullptr, "sweep cell without a workload");
+        misses.push_back(i);
+        task_of_cell[i] =
+            task_of_spec
+                .emplace(workload::contentHash(*cells[i].spec),
+                         task_of_spec.size())
+                .first->second;
+    }
+    std::vector<BaselineTask> tasks(task_of_spec.size());
+    for (std::size_t i : misses) {
+        BaselineTask &task = tasks[task_of_cell[i]];
+        if (!task.spec) {
+            task.spec = cells[i].spec;
+            task.firstCell = i;
+        }
+        if (!needsProfile(cells[i].scheme, options.run))
+            continue;
+        task.users.fetch_add(1);
+        const ProfileGeometry g = profileGeometry(cells[i].scheme);
+        if (std::find(task.geometries.begin(), task.geometries.end(), g) ==
+            task.geometries.end())
+            task.geometries.push_back(g);
+    }
+
+    const std::size_t n_tasks = tasks.size() + misses.size();
+    std::atomic<std::size_t> next{0};
+    runOnPool(jobs, [&] {
         while (true) {
-            const std::size_t i = next_cell.fetch_add(1);
-            if (i >= n || stop.load() || cancelled())
+            const std::size_t k = next.fetch_add(1);
+            if (k >= n_tasks || stop.load() || cancelled())
                 return;
+            if (k < tasks.size()) {
+                BaselineTask &task = tasks[k];
+                try {
+                    task.held = runBaseline(*task.spec, task.geometries);
+                } catch (...) {
+                    errors[task.firstCell] = std::current_exception();
+                    stop.store(true); // abandon unstarted cells
+                }
+                task.release();
+                continue;
+            }
+            const std::size_t i = misses[k - tasks.size()];
             try {
-                std::uint64_t key = 0;
-                bool hit = false;
-                if (options.cache) {
-                    key = cellKey(baselines->gpuParams(), energyConfig,
-                                  options.run, cells[i].scheme,
-                                  *cells[i].spec, backend, code_version);
-                    hit = options.cache->load(key, &results[i]);
-                }
-                if (!hit) {
-                    results[i] =
-                        runCell(experiment, cells[i], options.run);
-                    // Publish the moment the cell finishes: a sweep
-                    // killed one cell later resumes from here.
-                    if (options.cache)
-                        options.cache->store(key, results[i]);
-                }
-                (hit ? n_cached : n_simulated).fetch_add(1);
+                results[i] = runCell(experiment, cells[i], options.run);
+                // Publish the moment the cell finishes: a sweep
+                // killed one cell later resumes from here.
+                if (options.cache)
+                    options.cache->store(keys[i], results[i]);
+                n_simulated.fetch_add(1);
                 finished[i].store(true);
-                const std::size_t completed = done.fetch_add(1) + 1;
-                if (options.cancelAfter != 0 &&
-                    completed >= options.cancelAfter)
-                    auto_cancel.store(true);
+                cell_done();
             } catch (...) {
                 errors[i] = std::current_exception();
                 stop.store(true); // abandon unstarted cells
             }
+            if (needsProfile(cells[i].scheme, options.run))
+                tasks[task_of_cell[i]].release();
         }
-    };
-
-    if (jobs == 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (unsigned t = 0; t < jobs; ++t)
-            pool.emplace_back(worker);
-        for (auto &t : pool)
-            t.join();
-    }
+    });
 
     if (options.tally) {
         options.tally->simulated = n_simulated.load();
-        options.tally->cached = n_cached.load();
+        options.tally->cached = n_cached;
     }
 
     // Rethrow the failure with the lowest grid index so the caller

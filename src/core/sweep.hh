@@ -12,6 +12,10 @@
  *  - all workers share one BaselineCache, so each unique workload's
  *    no-security baseline is simulated exactly once (call_once) and
  *    every cell normalizes against the same bits;
+ *  - each distinct spec's baseline is dispatched as its own task
+ *    before any cell, collecting the spec's ground-truth profile in
+ *    the same run when one of its cells needs it, so cells neither
+ *    wait for nor repeat a baseline;
  *  - results land in a pre-sized vector slot per cell, so the output
  *    order is the grid order regardless of completion order.
  *
@@ -102,8 +106,9 @@ struct SweepOptions
     SweepTally *tally = nullptr;
     /**
      * Testing/CI knob: fire the cancel path after this many cells
-     * have completed (0 = never). Gives a deterministic way to
-     * interrupt a sweep mid-grid and exercise resume.
+     * have completed (0 = never; baseline tasks do not count). Gives
+     * a deterministic way to interrupt a sweep mid-grid and exercise
+     * resume.
      */
     std::size_t cancelAfter = 0;
 };
@@ -121,8 +126,13 @@ class SweepRunner
      * workload-major order (all schemes of workloads[0] first),
      * independent of the job count.
      *
+     * Dispatch order: result-cache hits are resolved first; then one
+     * baseline task per distinct spec with a miss; then the missed
+     * cells in grid order.
+     *
      * The first cell failure (by grid order) is rethrown after the
-     * pool drains; remaining unstarted cells are abandoned.
+     * pool drains; remaining unstarted cells are abandoned. A failed
+     * baseline counts as the failure of its spec's first missed cell.
      */
     std::vector<ExperimentResult>
     run(const std::vector<schemes::Scheme> &schemes,
@@ -149,6 +159,16 @@ class SweepRunner
     virtual ExperimentResult runCell(const Experiment &experiment,
                                      const SweepCell &cell,
                                      const RunOptions &options) const;
+
+    /**
+     * One spec's baseline task (seam for tests): the metrics, or the
+     * profile at each of @p geometries when some cell needs one. The
+     * runner holds the returned profiles until the spec's last
+     * profile-consuming cell has finished.
+     */
+    virtual std::vector<std::shared_ptr<const detect::AccessProfile>>
+    runBaseline(const workload::WorkloadSpec &spec,
+                const std::vector<ProfileGeometry> &geometries) const;
 
   private:
     gpu::EnergyParams energyConfig;

@@ -82,7 +82,10 @@ AesCmac::mac(const void *data, std::size_t len) const
             last[i] ^= k1[i];
     } else {
         std::size_t rem = len - body * 16;
-        std::memcpy(last.data(), bytes + body * 16, rem);
+        // An empty message may come with a null pointer, which memcpy
+        // must not see even for zero bytes.
+        if (rem != 0)
+            std::memcpy(last.data(), bytes + body * 16, rem);
         last[rem] = 0x80;
         for (int i = 0; i < 16; ++i)
             last[i] ^= k2[i];
@@ -152,7 +155,8 @@ AesCmac::macBatch(const void *const *msgs, const std::size_t *lens,
                 last[b] ^= k1[b];
         } else {
             std::size_t rem = lens[i] - body[i] * 16;
-            std::memcpy(last.data(), bytes + body[i] * 16, rem);
+            if (rem != 0) // empty messages may come as null pointers
+                std::memcpy(last.data(), bytes + body[i] * 16, rem);
             last[rem] = 0x80;
             for (int b = 0; b < 16; ++b)
                 last[b] ^= k2[b];

@@ -45,10 +45,9 @@ AccessProfile::recordAccess(PartitionId partition, LocalAddr addr,
 {
     PartitionProfile &prof = partitions.at(partition);
 
-    if (is_write)
-        prof.regionWritten[addr / regionSize] = true;
-
-    ++prof.regionAccesses[addr / regionSize];
+    RegionStats &rs = prof.regions[addr / regionSize];
+    ++rs.accesses;
+    rs.written |= is_write;
 
     ChunkStats &cs = prof.chunks[addr / chunkSize];
     ++cs.accesses;
@@ -56,24 +55,31 @@ AccessProfile::recordAccess(PartitionId partition, LocalAddr addr,
         (addr % chunkSize) / blockSize);
     cs.touchedMask |= (1ull << block_in_chunk);
 
+    if (oracles.empty())
+        return; // finalized
     oracles[partition]->access(addr, is_write, now, prof.events);
-    drainEvents(prof);
+    if (!prof.events.empty())
+        drainEvents(prof);
 }
 
 void
 AccessProfile::finalize(Cycle now)
 {
-    for (unsigned p = 0; p < partitions.size(); ++p) {
+    for (unsigned p = 0; p < oracles.size(); ++p) {
         oracles[p]->finalizeAll(now, partitions[p].events);
         drainEvents(partitions[p]);
+        partitions[p].events.shrink_to_fit();
     }
+    oracles.clear();
+    oracles.shrink_to_fit();
 }
 
 bool
 AccessProfile::regionReadOnly(PartitionId partition, LocalAddr addr) const
 {
-    const auto &written = partitions.at(partition).regionWritten;
-    return !written.contains(addr / regionSize);
+    const RegionStats *rs =
+        partitions.at(partition).regions.find(addr / regionSize);
+    return !rs || !rs->written;
 }
 
 bool
@@ -94,11 +100,11 @@ AccessProfile::chunkStreamingStats(const ChunkStats &cs) const
 bool
 AccessProfile::chunkStreaming(PartitionId partition, LocalAddr addr) const
 {
-    const auto &chunks = partitions.at(partition).chunks;
-    auto it = chunks.find(addr / chunkSize);
-    if (it == chunks.end())
+    const ChunkStats *cs =
+        partitions.at(partition).chunks.find(addr / chunkSize);
+    if (!cs)
         return true; // never profiled: keep the eager default
-    return chunkStreamingStats(it->second);
+    return chunkStreamingStats(*cs);
 }
 
 void
@@ -123,9 +129,9 @@ AccessProfile::accessRatios() const
             if (chunkStreamingStats(cs))
                 streaming += cs.accesses;
         }
-        for (const auto &[region, count] : prof.regionAccesses) {
-            if (!prof.regionWritten.contains(region))
-                read_only += count;
+        for (const auto &[region, rs] : prof.regions) {
+            if (!rs.written)
+                read_only += rs.accesses;
         }
     }
     if (r.totalAccesses) {
@@ -142,9 +148,8 @@ AccessProfile::forEachWrittenRegion(
     PartitionId partition,
     const std::function<void(std::uint64_t)> &fn) const
 {
-    for (const auto &[region, written] :
-         partitions.at(partition).regionWritten) {
-        if (written)
+    for (const auto &[region, rs] : partitions.at(partition).regions) {
+        if (rs.written)
             fn(region);
     }
 }

@@ -17,9 +17,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hh"
 #include "common/types.hh"
 #include "detect/streaming.hh"
 
@@ -38,7 +38,12 @@ class AccessProfile
     /** @{ Collection interface (profiling pass). */
     void recordAccess(PartitionId partition, LocalAddr addr, bool is_write,
                       Cycle now);
-    /** Flush in-flight oracle monitoring phases (kernel boundary/end). */
+    /**
+     * End of the run: flush in-flight oracle monitoring phases, then
+     * free the oracle detectors — a finalized profile keeps only its
+     * query maps. Accesses recorded afterwards still update the
+     * region and chunk tallies but start no monitoring phase.
+     */
     void finalize(Cycle now);
     /** @} */
 
@@ -82,11 +87,16 @@ class AccessProfile
         std::uint64_t accesses = 0;
     };
 
+    struct RegionStats
+    {
+        std::uint64_t accesses = 0;
+        bool written = false;
+    };
+
     struct PartitionProfile
     {
-        std::unordered_map<std::uint64_t, bool> regionWritten;
-        std::unordered_map<std::uint64_t, std::uint64_t> regionAccesses;
-        std::unordered_map<std::uint64_t, ChunkStats> chunks;
+        FlatMap<RegionStats> regions;
+        FlatMap<ChunkStats> chunks;
         std::vector<DetectionEvent> events;
     };
 
@@ -98,7 +108,8 @@ class AccessProfile
     std::uint64_t chunkSize;
     std::uint32_t blockSize;
     std::vector<PartitionProfile> partitions;
-    /** One unlimited-MAT oracle detector per partition. */
+    /** One unlimited-MAT oracle detector per partition (empty once
+     *  finalized). */
     std::vector<std::unique_ptr<StreamingDetector>> oracles;
 };
 

@@ -1,5 +1,7 @@
 #include "detect/streaming.hh"
 
+#include <algorithm>
+
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
@@ -38,10 +40,7 @@ StreamingDetector::confirmedStreaming(LocalAddr addr, Cycle now) const
     // engine may serve it at chunk granularity and defer verification
     // to the detection event — with the Table III/IV costs if the
     // phase turns out random.
-    for (const auto &t : trackers)
-        if (t.valid && t.chunk == chunk)
-            return true;
-    return false;
+    return findTracker(chunk) != nullptr;
 }
 
 void
@@ -62,6 +61,10 @@ StreamingDetector::finalize(Tracker &t, std::vector<DetectionEvent> &events,
     events.push_back({t.chunk, streaming, t.predictedStreaming,
                       t.writeFlag, t.accessMask, exit});
     t.valid = false;
+    if (oracleMode()) {
+        slotOfChunk.erase(t.chunk);
+        freeSlots.push(static_cast<std::uint32_t>(&t - trackers.data()));
+    }
 
     if (exit == PhaseExit::Coverage && !cooldown.empty()) {
         // Remember the chunk briefly so straggling sector accesses do
@@ -81,26 +84,39 @@ StreamingDetector::inCooldown(std::uint64_t chunk, Cycle now) const
     return false;
 }
 
-StreamingDetector::Tracker *
-StreamingDetector::findTracker(std::uint64_t chunk)
+const StreamingDetector::Tracker *
+StreamingDetector::findTracker(std::uint64_t chunk) const
 {
-    for (auto &t : trackers)
+    if (oracleMode()) {
+        const std::uint32_t *slot = slotOfChunk.find(chunk);
+        return slot ? &trackers[*slot] : nullptr;
+    }
+    for (const auto &t : trackers)
         if (t.valid && t.chunk == chunk)
             return &t;
     return nullptr;
 }
 
 StreamingDetector::Tracker *
+StreamingDetector::findTracker(std::uint64_t chunk)
+{
+    return const_cast<Tracker *>(
+        static_cast<const StreamingDetector *>(this)->findTracker(chunk));
+}
+
+StreamingDetector::Tracker *
 StreamingDetector::allocTracker(Cycle now,
                                 std::vector<DetectionEvent> &events)
 {
-    if (config.trackers == 0) {
-        // Oracle mode: unlimited trackers.
-        for (auto &t : trackers)
-            if (!t.valid)
-                return &t;
-        trackers.push_back({});
-        return &trackers.back();
+    if (oracleMode()) {
+        // Unlimited trackers: reuse the lowest free slot, else grow.
+        if (freeSlots.empty()) {
+            trackers.push_back({});
+            return &trackers.back();
+        }
+        Tracker *t = &trackers[freeSlots.top()];
+        freeSlots.pop();
+        return t;
     }
     for (auto &t : trackers)
         if (!t.valid)
@@ -116,16 +132,46 @@ StreamingDetector::allocTracker(Cycle now,
 }
 
 void
+StreamingDetector::expireTimedOut(Cycle now,
+                                  std::vector<DetectionEvent> &events)
+{
+    if (!oracleMode()) {
+        for (auto &t : trackers) {
+            if (t.valid && now >= t.started + config.timeoutCycles) {
+                ++statTimeoutExits;
+                finalize(t, events, now, PhaseExit::Timeout);
+            }
+        }
+        return;
+    }
+    // Pop every phase old enough to have timed out, then finalize the
+    // live ones in slot order, as the pool scan above would.
+    expiredSlots.clear();
+    while (!expiry.empty() &&
+           now >= expiry.top().first + config.timeoutCycles) {
+        const auto [started, slot] = expiry.top();
+        expiry.pop();
+        const Tracker &t = trackers[slot];
+        if (t.valid && t.started == started)
+            expiredSlots.push_back(slot);
+    }
+    std::sort(expiredSlots.begin(), expiredSlots.end());
+    // A slot restarted at the same cycle is listed once per start.
+    expiredSlots.erase(
+        std::unique(expiredSlots.begin(), expiredSlots.end()),
+        expiredSlots.end());
+    for (std::uint32_t slot : expiredSlots) {
+        ++statTimeoutExits;
+        finalize(trackers[slot], events, now, PhaseExit::Timeout);
+    }
+}
+
+void
 StreamingDetector::access(LocalAddr addr, bool is_write, Cycle now,
                           std::vector<DetectionEvent> &events)
 {
     // Lazily expire timed-out monitoring phases.
-    for (auto &t : trackers) {
-        if (t.valid && now >= t.started + config.timeoutCycles) {
-            ++statTimeoutExits;
-            finalize(t, events, now, PhaseExit::Timeout);
-        }
-    }
+    expireTimedOut(now, events);
 
     std::uint64_t chunk = chunkOf(addr);
     std::uint32_t block_in_chunk = static_cast<std::uint32_t>(
@@ -164,6 +210,12 @@ StreamingDetector::access(LocalAddr addr, bool is_write, Cycle now,
         t->accessMask = 0;
         t->accesses = 0;
         t->started = now;
+        if (oracleMode()) {
+            const auto slot =
+                static_cast<std::uint32_t>(t - trackers.data());
+            slotOfChunk[chunk] = slot;
+            expiry.emplace(now, slot);
+        }
     }
 
     t->accessMask |= (1ull << block_in_chunk);
@@ -194,6 +246,19 @@ StreamingDetector::finalizeAll(Cycle now, std::vector<DetectionEvent> &events)
     for (auto &t : trackers)
         if (t.valid)
             finalize(t, events, now, PhaseExit::Timeout);
+    // Every slot is free now, so an empty pool hands out the same
+    // slots in the same order.
+    if (oracleMode())
+        clearOraclePool();
+}
+
+void
+StreamingDetector::clearOraclePool()
+{
+    trackers.clear();
+    slotOfChunk.clear();
+    freeSlots.clear();
+    expiry.clear();
 }
 
 void
@@ -201,11 +266,11 @@ StreamingDetector::reset()
 {
     for (Entry &e : entries)
         e = Entry{};
-    if (config.trackers > 0) {
+    if (oracleMode()) {
+        clearOraclePool(); // grown again on demand
+    } else {
         for (Tracker &t : trackers)
             t = Tracker{};
-    } else {
-        trackers.clear(); // oracle mode grows the pool on demand
     }
     for (CooldownEntry &c : cooldown)
         c = CooldownEntry{};

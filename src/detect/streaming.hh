@@ -23,6 +23,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/dary_heap.hh"
+#include "common/flat_map.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -195,10 +197,15 @@ class StreamingDetector
                                           config.blockBytes);
     }
 
+    bool oracleMode() const { return config.trackers == 0; }
+
     void finalize(Tracker &t, std::vector<DetectionEvent> &events,
                   Cycle now, PhaseExit exit);
+    void expireTimedOut(Cycle now, std::vector<DetectionEvent> &events);
+    const Tracker *findTracker(std::uint64_t chunk) const;
     Tracker *findTracker(std::uint64_t chunk);
     Tracker *allocTracker(Cycle now, std::vector<DetectionEvent> &events);
+    void clearOraclePool();
     bool inCooldown(std::uint64_t chunk, Cycle now) const;
 
     struct CooldownEntry
@@ -210,6 +217,21 @@ class StreamingDetector
     StreamingDetectorParams config;
     std::vector<Entry> entries;
     std::vector<Tracker> trackers; //!< fixed pool, or growing if oracle
+
+    /**
+     * @{ Oracle mode only: the unbounded pool would make per-access
+     * scans grow with the footprint, so the scans' answers are kept
+     * incrementally instead. Every structure reproduces the scan it
+     * replaces exactly: a new phase takes the lowest free slot, and
+     * timed-out phases finalize in ascending slot order.
+     */
+    FlatMap<std::uint32_t> slotOfChunk; //!< chunk -> its valid tracker
+    DaryHeap<std::uint32_t> freeSlots;  //!< invalid slots, lowest first
+    /** (started, slot) per phase begun, oldest first; entries whose
+     *  slot has since finalized or restarted are skipped when popped. */
+    DaryHeap<std::pair<Cycle, std::uint32_t>> expiry;
+    std::vector<std::uint32_t> expiredSlots; //!< scratch
+    /** @} */
     std::vector<CooldownEntry> cooldown; //!< ring of finalized chunks
     std::uint32_t cooldownNext = 0;
     std::uint32_t remonitorTick = 0; //!< random-chunk re-monitor pacing

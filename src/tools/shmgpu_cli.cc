@@ -45,7 +45,9 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -55,6 +57,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <type_traits>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -82,6 +85,27 @@ namespace
  * reads is recorded, so assertConsumed() can reject the flags it
  * never read — as Config::assertConsumed does for override keys.
  */
+/**
+ * The one parser for numeric flag values: @p text must be a whole
+ * decimal number of type T — no trailing characters, no sign on
+ * unsigned types (so "-1" cannot wrap), in range, finite for doubles.
+ * Anything else is fatal (exit 1) and names @p flag.
+ */
+template <typename T>
+T
+parseNumber(const std::string &flag, const std::string &text)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    bool ok = !text.empty() && ec == std::errc{} && ptr == end;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(value);
+    if (!ok)
+        shm_fatal("--{}: malformed number '{}'", flag, text);
+    return value;
+}
+
 class Args
 {
   public:
@@ -108,6 +132,15 @@ class Args
         consumed.insert(key);
         auto it = values.find(key);
         return it == values.end() ? fallback : it->second;
+    }
+
+    /** --key parsed by parseNumber, or @p fallback when absent. */
+    template <typename T>
+    T
+    number(const std::string &key, T fallback) const
+    {
+        std::string text = get(key);
+        return text.empty() ? fallback : parseNumber<T>(key, text);
     }
 
     bool
@@ -254,13 +287,13 @@ gpuParamsFrom(const Args &args, trace::TraceParams *trace_params = nullptr,
     // --policy above.
     std::string epoch_arg = args.get("adapt-epoch");
     if (!epoch_arg.empty() && adapt_epoch)
-        *adapt_epoch = static_cast<Cycle>(std::stoull(epoch_arg));
+        *adapt_epoch = parseNumber<Cycle>("adapt-epoch", epoch_arg);
     std::string th_arg = args.get("adapt-thresholds");
     if (!th_arg.empty() && adapt_thresholds)
         *adapt_thresholds = core::parseAdaptThresholds(th_arg);
     std::string cycles = args.get("cycles");
     if (!cycles.empty())
-        gp.maxCyclesPerKernel = std::stoull(cycles);
+        gp.maxCyclesPerKernel = parseNumber<Cycle>("cycles", cycles);
     // A/B escape hatch: drive the per-cycle reference engine instead
     // of the event-driven calendar (also gpu.reference_loop override).
     if (args.has("reference-loop"))
@@ -480,7 +513,7 @@ zipfGrid(const Args &args)
         sizes.push_back(workload::parseSize(tok));
     std::vector<double> alphas;
     for (const auto &tok : splitList(args.get("zipf-alphas", "0.8")))
-        alphas.push_back(std::stod(tok));
+        alphas.push_back(parseNumber<double>("zipf-alphas", tok));
     specs.reserve(sizes.size() * alphas.size());
     for (auto fp : sizes)
         for (double a : alphas)
@@ -543,13 +576,12 @@ cmdSweepScenario(const Args &args)
     std::vector<Cycle> quantums;
     for (const auto &tok : splitList(
              args.get("quantums", std::to_string(base.quantumCycles))))
-        quantums.push_back(std::stoull(tok));
+        quantums.push_back(parseNumber<Cycle>("quantums", tok));
 
     std::vector<unsigned> tenant_counts;
     for (const auto &tok : splitList(
              args.get("tenants", std::to_string(base.tenants.size()))))
-        tenant_counts.push_back(
-            static_cast<unsigned>(std::stoul(tok)));
+        tenant_counts.push_back(parseNumber<unsigned>("tenants", tok));
     for (unsigned n : tenant_counts)
         shm_assert(n > 0, "--tenants needs positive counts");
 
@@ -557,7 +589,7 @@ cmdSweepScenario(const Args &args)
         log_detail::setVerbose(false);
 
     core::ScenarioSweepOptions opts;
-    opts.jobs = static_cast<unsigned>(std::stoul(args.get("jobs", "1")));
+    opts.jobs = args.number<unsigned>("jobs", 1);
     opts.run.withSolo = !args.has("no-solo");
     gpu::GpuParams gp = gpuParamsFrom(args, &opts.run.traceParams,
                                       &opts.run.mdcPolicy,
@@ -651,8 +683,7 @@ cmdSweep(const Args &args)
         shm_fatal("sweep selects no schemes");
 
     core::SweepOptions sweep_opts;
-    sweep_opts.jobs = static_cast<unsigned>(
-        std::stoul(args.get("jobs", "1")));
+    sweep_opts.jobs = args.number<unsigned>("jobs", 1);
     sweep_opts.run.collectAccuracy = args.has("accuracy");
     sweep_opts.run.traceDir = args.get("trace");
 
@@ -673,7 +704,7 @@ cmdSweep(const Args &args)
         adapt_epochs.push_back(sweep_opts.run.adaptEpoch);
     } else {
         for (const auto &tok : splitList(epoch_list))
-            adapt_epochs.push_back(static_cast<Cycle>(std::stoull(tok)));
+            adapt_epochs.push_back(parseNumber<Cycle>("adapt-epochs", tok));
     }
 
     // Persistent cell store: cells load instead of simulating on key
@@ -692,7 +723,8 @@ cmdSweep(const Args &args)
     sweep_opts.tally = &tally;
     std::string cancel_after = args.get("cancel-after");
     if (!cancel_after.empty())
-        sweep_opts.cancelAfter = std::stoull(cancel_after);
+        sweep_opts.cancelAfter =
+            parseNumber<std::size_t>("cancel-after", cancel_after);
 
     // Read before running: a cancelled sweep returns early, and a flag
     // left unread would then be rejected as unknown.
@@ -802,9 +834,8 @@ cmdBenchSelf(const Args &args)
 
     bool quick = args.has("quick");
     std::uint64_t cycles =
-        std::stoull(args.get("cycles", quick ? "10000" : "50000"));
-    unsigned reps = static_cast<unsigned>(
-        std::stoul(args.get("reps", quick ? "1" : "3")));
+        args.number<std::uint64_t>("cycles", quick ? 10000 : 50000);
+    unsigned reps = args.number<unsigned>("reps", quick ? 1 : 3);
     shm_assert(reps > 0, "bench-self needs at least one repetition");
     std::string out = args.get("out", "BENCH_hotpath.json");
 
@@ -839,7 +870,7 @@ cmdBenchSelf(const Args &args)
     }
     std::string epoch_arg = args.get("adapt-epoch");
     if (!epoch_arg.empty())
-        run_opts.adaptEpoch = static_cast<Cycle>(std::stoull(epoch_arg));
+        run_opts.adaptEpoch = parseNumber<Cycle>("adapt-epoch", epoch_arg);
 
     std::vector<const workload::WorkloadSpec *> workloads;
     for (const auto &name : workload_names)
@@ -939,12 +970,10 @@ cmdBenchSelf(const Args &args)
 int
 cmdBenchSweep(const Args &args)
 {
-    const unsigned side = static_cast<unsigned>(
-        std::stoul(args.get("side", "32")));
+    const unsigned side = args.number<unsigned>("side", 32);
     shm_assert(side > 0, "bench-sweep needs a positive --side");
-    std::uint64_t cycles = std::stoull(args.get("cycles", "2000"));
-    unsigned jobs = static_cast<unsigned>(
-        std::stoul(args.get("jobs", "1")));
+    std::uint64_t cycles = args.number<std::uint64_t>("cycles", 2000);
+    unsigned jobs = args.number<unsigned>("jobs", 1);
     std::string out = args.get("out", "BENCH_sweepcache.json");
     std::string dir = args.get("results-dir", "bench-sweep-cache");
     auto scheme = schemes::schemeFromName(args.get("scheme", "SHM"));
@@ -1062,7 +1091,7 @@ cmdBenchSweep(const Args &args)
 int
 cmdBenchTenants(const Args &args)
 {
-    std::uint64_t cycles = std::stoull(args.get("cycles", "20000"));
+    std::uint64_t cycles = args.number<std::uint64_t>("cycles", 20000);
     std::string out = args.get("out", "BENCH_tenants.json");
     auto scheme = schemes::schemeFromName(args.get("scheme", "SHM"));
 
@@ -1092,7 +1121,7 @@ cmdBenchTenants(const Args &args)
     std::vector<Cycle> quantums;
     for (const auto &tok :
          splitList(args.get("quantums", "2000,5000,20000")))
-        quantums.push_back(std::stoull(tok));
+        quantums.push_back(parseNumber<Cycle>("quantums", tok));
 
     core::ScenarioSoloCache solos(gp);
     core::ScenarioRunOptions run_opts;
@@ -1103,8 +1132,7 @@ cmdBenchTenants(const Args &args)
         solos.soloFor(scheme, t.workload, base.keySeed,
                       run_opts.mdcPolicy);
 
-    unsigned reps =
-        static_cast<unsigned>(std::stoul(args.get("reps", "3")));
+    unsigned reps = args.number<unsigned>("reps", 3);
     shm_assert(reps > 0, "bench-tenants needs at least one repetition");
 
     using clock = std::chrono::steady_clock;
@@ -1297,8 +1325,7 @@ cmdTrace(const Args &args, const std::string &sub)
         if (workload_name.empty() || out.empty())
             shm_fatal("trace record needs --workload and --out");
         const auto &w = workload::findWorkload(workload_name);
-        std::uint32_t sms = static_cast<std::uint32_t>(
-            std::stoul(args.get("sms", "30")));
+        std::uint32_t sms = args.number<std::uint32_t>("sms", 30);
         workload::Trace trace = workload::generateTrace(w, sms);
         workload::writeTrace(trace, out);
         std::printf("recorded %llu ops over %zu kernels (%u SMs) "

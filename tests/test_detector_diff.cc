@@ -276,6 +276,337 @@ TEST_P(DetectorDiff, MispredictionsNeverBreakFunctionalCorrectness)
     }
 }
 
+namespace
+{
+
+/**
+ * Reference for the oracle-mode (trackers == 0) StreamingDetector:
+ * the original growing tracker pool searched by linear scans. The
+ * detector keeps these scans' answers incrementally instead; this
+ * copy is what it must agree with, event order included.
+ */
+class ScanOracle
+{
+  public:
+    explicit ScanOracle(const StreamingDetectorParams &params)
+        : config(params), entries(params.entries),
+          cooldown(params.cooldownEntries)
+    {
+    }
+
+    void
+    access(LocalAddr addr, bool is_write, Cycle now,
+           std::vector<DetectionEvent> &events)
+    {
+        for (auto &t : trackers)
+            if (t.valid && now >= t.started + config.timeoutCycles)
+                finalize(t, events, now, PhaseExit::Timeout);
+
+        const std::uint64_t chunk = addr / config.chunkBytes;
+        const auto block = static_cast<std::uint32_t>(
+            (addr % config.chunkBytes) / config.blockBytes);
+        Tracker *t = find(chunk);
+        if (!t) {
+            if (inCooldown(chunk, now))
+                return;
+            t = nullptr;
+            for (auto &free : trackers) {
+                if (!free.valid) {
+                    t = &free;
+                    break;
+                }
+            }
+            if (!t) {
+                trackers.push_back({});
+                t = &trackers.back();
+            }
+            *t = Tracker{true, chunk, entry(chunk).streaming, false, 0, 0,
+                         now};
+        }
+        t->accessMask |= 1ull << block;
+        t->writeFlag |= is_write;
+        ++t->accesses;
+        if ((t->accessMask & fullMask()) == fullMask())
+            finalize(*t, events, now, PhaseExit::Coverage);
+        else if (t->accesses >= config.monitorAccesses *
+                                    (config.blockBytes / config.sectorBytes))
+            finalize(*t, events, now, PhaseExit::Budget);
+    }
+
+    void
+    finalizeAll(Cycle now, std::vector<DetectionEvent> &events)
+    {
+        for (auto &t : trackers)
+            if (t.valid)
+                finalize(t, events, now, PhaseExit::Timeout);
+    }
+
+    void
+    reset()
+    {
+        entries.assign(entries.size(), Entry{});
+        trackers.clear();
+        cooldown.assign(cooldown.size(), CooldownEntry{});
+        cooldownNext = 0;
+    }
+
+    void
+    primePrediction(std::uint64_t chunk, bool streaming)
+    {
+        entry(chunk) = {streaming, true, chunk};
+    }
+
+    bool
+    confirmedStreaming(LocalAddr addr, Cycle now) const
+    {
+        const std::uint64_t chunk = addr / config.chunkBytes;
+        const Entry &e = entries[chunk % entries.size()];
+        if (e.everUpdated && e.lastUpdater == chunk && e.streaming)
+            return true;
+        if (inCooldown(chunk, now))
+            return true;
+        for (const auto &t : trackers)
+            if (t.valid && t.chunk == chunk)
+                return true;
+        return false;
+    }
+
+    bool predictStreaming(std::uint64_t chunk) const
+    {
+        return entries[chunk % entries.size()].streaming;
+    }
+    bool entryNeverUpdated(std::uint64_t chunk) const
+    {
+        return !entries[chunk % entries.size()].everUpdated;
+    }
+    std::uint64_t entryLastUpdater(std::uint64_t chunk) const
+    {
+        return entries[chunk % entries.size()].lastUpdater;
+    }
+
+  private:
+    struct Tracker
+    {
+        bool valid = false;
+        std::uint64_t chunk = 0;
+        bool predictedStreaming = false;
+        bool writeFlag = false;
+        std::uint64_t accessMask = 0;
+        std::uint32_t accesses = 0;
+        Cycle started = 0;
+    };
+    struct Entry
+    {
+        bool streaming = true;
+        bool everUpdated = false;
+        std::uint64_t lastUpdater = 0;
+    };
+    struct CooldownEntry
+    {
+        std::uint64_t chunk = 0;
+        Cycle until = 0;
+    };
+
+    Entry &entry(std::uint64_t chunk)
+    {
+        return entries[chunk % entries.size()];
+    }
+
+    std::uint64_t
+    fullMask() const
+    {
+        const std::uint64_t blocks = config.chunkBytes / config.blockBytes;
+        return blocks >= 64 ? ~0ull : (1ull << blocks) - 1;
+    }
+
+    Tracker *
+    find(std::uint64_t chunk)
+    {
+        for (auto &t : trackers)
+            if (t.valid && t.chunk == chunk)
+                return &t;
+        return nullptr;
+    }
+
+    bool
+    inCooldown(std::uint64_t chunk, Cycle now) const
+    {
+        for (const auto &c : cooldown)
+            if (c.until > now && c.chunk == chunk)
+                return true;
+        return false;
+    }
+
+    void
+    finalize(Tracker &t, std::vector<DetectionEvent> &events, Cycle now,
+             PhaseExit exit)
+    {
+        const bool streaming = (t.accessMask & fullMask()) == fullMask();
+        entry(t.chunk) = {streaming, true, t.chunk};
+        events.push_back({t.chunk, streaming, t.predictedStreaming,
+                          t.writeFlag, t.accessMask, exit});
+        t.valid = false;
+        if (exit == PhaseExit::Coverage && !cooldown.empty()) {
+            cooldown[cooldownNext] = {t.chunk, now + config.cooldownCycles};
+            cooldownNext = (cooldownNext + 1) %
+                           static_cast<std::uint32_t>(cooldown.size());
+        }
+    }
+
+    StreamingDetectorParams config;
+    std::vector<Entry> entries;
+    std::vector<Tracker> trackers;
+    std::vector<CooldownEntry> cooldown;
+    std::uint32_t cooldownNext = 0;
+};
+
+/** Compare, then drop, the events both detectors emitted. */
+void
+expectSameEvents(std::vector<DetectionEvent> &got,
+                 std::vector<DetectionEvent> &want, int step)
+{
+    ASSERT_EQ(got.size(), want.size()) << "step " << step;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE("step " + std::to_string(step) + " event " +
+                     std::to_string(i));
+        EXPECT_EQ(got[i].chunk, want[i].chunk);
+        EXPECT_EQ(got[i].detectedStreaming, want[i].detectedStreaming);
+        EXPECT_EQ(got[i].predictedStreaming, want[i].predictedStreaming);
+        EXPECT_EQ(got[i].sawWrite, want[i].sawWrite);
+        EXPECT_EQ(got[i].accessMask, want[i].accessMask);
+        EXPECT_EQ(got[i].exit, want[i].exit);
+    }
+    got.clear();
+    want.clear();
+}
+
+} // namespace
+
+/**
+ * The oracle-mode detector against the linear-scan reference: random
+ * streams mixing chunk sweeps (coverage exits and their stragglers in
+ * the cooldown ring), hammered blocks (budget exits), scattered
+ * touches left to time out, cycles that repeat or step back as a
+ * partition's miss and write-back streams interleave, priming,
+ * finalizeAll and reset. Every call must emit the same events in the
+ * same order, and leave the same predictor entries behind. The small
+ * bit vector makes entries alias, so the order of same-cycle timeouts
+ * shows in which chunk last updated an entry.
+ */
+TEST_P(DetectorDiff, OracleTrackerIndexMatchesPoolScan)
+{
+    Rng rng(GetParam() ^ 0x0eac1e);
+    StreamingDetectorParams params;
+    params.trackers = 0;
+    params.entries = 16;
+    params.chunkBytes = kChunkBytes;
+    params.blockBytes = static_cast<std::uint32_t>(kBlockBytes);
+    params.timeoutCycles = 400;
+    params.cooldownCycles = 150;
+    params.cooldownEntries = 4;
+    StreamingDetector fast(params);
+    ScanOracle reference(params);
+
+    const std::uint64_t chunks = 48;
+    const std::uint64_t blocks_per_chunk = kChunkBytes / kBlockBytes;
+    std::vector<DetectionEvent> got, want;
+    // Exits seen by kind, and calls that timed out several phases at
+    // once (where slot order decides the event order).
+    std::map<PhaseExit, int> exits;
+    int batched_timeouts = 0;
+    auto check = [&](int step) {
+        int timeouts = 0;
+        for (const DetectionEvent &ev : got) {
+            ++exits[ev.exit];
+            timeouts += ev.exit == PhaseExit::Timeout;
+        }
+        batched_timeouts += timeouts > 1;
+        expectSameEvents(got, want, step);
+    };
+    Cycle now = 1000;
+    std::uint64_t sweep_chunk = 0, sweep_block = blocks_per_chunk;
+    std::uint64_t hammer_chunk = 0, hammer_left = 0;
+    for (int step = 0; step < 40000; ++step) {
+        LocalAddr addr = 0;
+        const std::uint64_t kind = hammer_left ? 100 : rng.below(100);
+        if (hammer_left) {
+            // A burst on three blocks of one chunk: budget exits.
+            --hammer_left;
+            addr = hammer_chunk * kChunkBytes + rng.below(3) * kBlockBytes;
+        } else if (kind < 45) {
+            // Sequential sweep of one chunk, sector by sector.
+            if (sweep_block >= blocks_per_chunk) {
+                sweep_chunk = rng.below(chunks);
+                sweep_block = 0;
+            }
+            addr = sweep_chunk * kChunkBytes + sweep_block * kBlockBytes +
+                   rng.below(4) * 32;
+            sweep_block += rng.chance(0.8);
+        } else if (kind < 47) {
+            hammer_chunk = rng.below(chunks);
+            hammer_left = 100 + rng.below(60);
+            continue;
+        } else if (kind < 97) {
+            // Scattered touches: phases left to time out.
+            addr = rng.below(chunks) * kChunkBytes +
+                   rng.below(blocks_per_chunk) * kBlockBytes;
+        } else if (kind < 98) {
+            const std::uint64_t c = rng.below(chunks);
+            const bool streaming = rng.chance(0.5);
+            fast.primePrediction(c, streaming);
+            reference.primePrediction(c, streaming);
+            continue;
+        } else if (kind < 99) {
+            fast.finalizeAll(now, got);
+            reference.finalizeAll(now, want);
+            check(step);
+            continue;
+        } else {
+            if (rng.chance(0.2)) {
+                fast.reset();
+                reference.reset();
+            }
+            continue;
+        }
+        const bool is_write = rng.chance(0.3);
+        fast.access(addr, is_write, now, got);
+        reference.access(addr, is_write, now, want);
+        check(step);
+        if (HasFailure())
+            return;
+        const LocalAddr probe = rng.below(chunks) * kChunkBytes;
+        ASSERT_EQ(fast.confirmedStreaming(probe, now),
+                  reference.confirmedStreaming(probe, now))
+            << "step " << step;
+
+        // Same-cycle bursts, short back-steps, and occasional gaps
+        // long enough to time out every open phase.
+        const std::uint64_t clock = rng.below(100);
+        if (clock < 30 || hammer_left)
+            now += hammer_left ? rng.below(2) : 0;
+        else if (clock < 40)
+            now -= std::min<Cycle>(now, rng.below(64));
+        else if (clock < 99)
+            now += 1 + rng.below(24);
+        else
+            now += params.timeoutCycles + rng.below(200);
+    }
+    fast.finalizeAll(now, got);
+    reference.finalizeAll(now, want);
+    check(-1);
+    EXPECT_GT(exits[PhaseExit::Coverage], 0);
+    EXPECT_GT(exits[PhaseExit::Budget], 0);
+    EXPECT_GT(exits[PhaseExit::Timeout], 0);
+    EXPECT_GT(batched_timeouts, 0);
+
+    for (std::uint64_t c = 0; c < params.entries; ++c) {
+        EXPECT_EQ(fast.predictStreaming(c * kChunkBytes),
+                  reference.predictStreaming(c));
+        EXPECT_EQ(fast.entryNeverUpdated(c), reference.entryNeverUpdated(c));
+        EXPECT_EQ(fast.entryLastUpdater(c), reference.entryLastUpdater(c));
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DetectorDiff,
                          ::testing::Values(1ull, 42ull, 0xdecafull,
                                            0x123456789ull));

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hh"
+#include "detect/oracle.hh"
 
 using namespace shmgpu;
 using namespace shmgpu::core;
@@ -144,6 +145,58 @@ TEST(Experiment, UpperBoundRunsProfilePassAutomatically)
     auto w = workload::makeMixedMicro();
     auto r = exp.run(schemes::Scheme::ShmUpperBound, w);
     EXPECT_GT(r.normalizedIpc, 0.0);
+}
+
+TEST(BaselineCache, FirstProfileRequestAlsoProvidesTheMetrics)
+{
+    // One profiled run fills both, and the metrics are the plain
+    // run's bit for bit: collecting a profile changes nothing.
+    auto w = workload::makeMixedMicro();
+    const ProfileGeometry g = profileGeometry(schemes::Scheme::Shm);
+    BaselineCache profiled(quickParams());
+    auto profile = profiled.profileFor(w, g);
+    ASSERT_NE(profile, nullptr);
+    EXPECT_EQ(profile->regionBytes(), g.regionBytes);
+    EXPECT_EQ(profile->chunkBytes(), g.chunkBytes);
+    const gpu::RunMetrics &m = profiled.metricsFor(w);
+    EXPECT_EQ(profiled.simulations(), 1u);
+
+    BaselineCache plain(quickParams());
+    const gpu::RunMetrics &want = plain.metricsFor(w);
+    EXPECT_EQ(m.cycles, want.cycles);
+    EXPECT_EQ(m.instructions, want.instructions);
+    EXPECT_EQ(m.ipc, want.ipc);
+    EXPECT_EQ(m.bytesData, want.bytesData);
+    EXPECT_EQ(m.l2MissRate, want.l2MissRate);
+    EXPECT_EQ(m.energy.dramBytes, want.energy.dramBytes);
+}
+
+TEST(BaselineCache, ProfileIsSharedWhileHeldAndRebuiltAfter)
+{
+    auto w = workload::makeMixedMicro();
+    const ProfileGeometry g = profileGeometry(schemes::Scheme::Shm);
+    BaselineCache cache(quickParams());
+    cache.metricsFor(w);
+    ASSERT_EQ(cache.simulations(), 1u);
+
+    // The plain baseline already ran: one extra profiled pass, shared.
+    auto first = cache.profileFor(w, g);
+    auto second = cache.profileFor(w, g);
+    EXPECT_EQ(first.get(), second.get());
+    EXPECT_EQ(cache.simulations(), 2u);
+
+    // Another geometry is another profile.
+    ProfileGeometry wide = g;
+    wide.chunkBytes *= 2;
+    EXPECT_NE(cache.profileFor(w, wide).get(), first.get());
+    EXPECT_EQ(cache.simulations(), 3u);
+
+    // Once every holder drops it, the cache has let it go.
+    first.reset();
+    second.reset();
+    auto again = cache.profileFor(w, g);
+    EXPECT_EQ(cache.simulations(), 4u);
+    EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(Geomean, MatchesHandComputation)

@@ -1,16 +1,22 @@
 /**
  * @file
  * SweepRunner tests: the determinism guarantee (identical metrics at
- * any job count), exception propagation out of worker threads, and
- * cooperative cancellation.
+ * any job count), exception propagation out of worker threads,
+ * cooperative cancellation, and the baselines-first dispatch (one
+ * baseline task per spec, none for cached cells).
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <filesystem>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
+#include "core/result_cache.hh"
 #include "core/sweep.hh"
 
 using namespace shmgpu;
@@ -260,4 +266,180 @@ TEST(SweepRunner, RunCellsSupportsRaggedGrids)
     EXPECT_EQ(results[0].scheme, "SHM");
     EXPECT_EQ(results[1].workload, "micro-mixed");
     EXPECT_EQ(results[1].scheme, "Naive");
+}
+
+namespace
+{
+
+/** Self-cleaning per-test cache directory under $TMPDIR. */
+struct TempDir
+{
+    std::filesystem::path path;
+
+    explicit TempDir(const char *tag)
+    {
+        path = std::filesystem::temp_directory_path() /
+               ("shmgpu-sweep-" + std::string(tag) + "-" +
+                std::to_string(::getpid()));
+        std::filesystem::remove_all(path);
+    }
+    ~TempDir() { std::filesystem::remove_all(path); }
+
+    std::string str() const { return path.string(); }
+};
+
+/** Runner whose baseline task throws for the specs named. */
+class ThrowingBaselineRunner : public SweepRunner
+{
+  public:
+    using SweepRunner::SweepRunner;
+    std::set<std::string> poison = {"micro-random"};
+
+  protected:
+    std::vector<std::shared_ptr<const detect::AccessProfile>>
+    runBaseline(const workload::WorkloadSpec &spec,
+                const std::vector<ProfileGeometry> &geometries)
+        const override
+    {
+        if (poison.contains(spec.name))
+            throw std::runtime_error("baseline failed: " + spec.name);
+        return SweepRunner::runBaseline(spec, geometries);
+    }
+};
+
+/** A grid with SHM_upper_bound and an accuracy-collecting SHM cell. */
+std::vector<ExperimentResult>
+runUpperBoundGrid(unsigned jobs, SweepRunner &runner)
+{
+    Grid grid;
+    SweepOptions opts;
+    opts.jobs = jobs;
+    return runner.run({schemes::Scheme::ShmUpperBound,
+                       schemes::Scheme::Naive, schemes::Scheme::Shm},
+                      grid.workloads, opts);
+}
+
+} // namespace
+
+TEST(SweepRunner, OneBaselineSimulationPerSpecEvenWithProfiles)
+{
+    // The profiled baseline run provides the metrics too, and no
+    // SHM_upper_bound cell repeats it.
+    SweepRunner runner(quickParams());
+    runUpperBoundGrid(4, runner);
+    EXPECT_EQ(runner.baselineCache()->simulations(), 3u);
+}
+
+TEST(SweepRunner, UpperBoundGridIsBitIdenticalAcrossJobCounts)
+{
+    std::string docs[3];
+    const unsigned jobs[3] = {1, 4, 8};
+    for (int i = 0; i < 3; ++i) {
+        SweepRunner runner(quickParams());
+        std::ostringstream os;
+        writeSweepJson(os, runUpperBoundGrid(jobs[i], runner));
+        docs[i] = os.str();
+    }
+    EXPECT_EQ(docs[0], docs[1]);
+    EXPECT_EQ(docs[0], docs[2]);
+}
+
+TEST(SweepRunner, WarmResultCacheRunsNoBaseline)
+{
+    TempDir dir("warm");
+    ResultCache cache(dir.str());
+    Grid grid;
+    SweepOptions opts;
+    opts.jobs = 4;
+    opts.cache = &cache;
+    std::ostringstream cold, warm;
+    {
+        SweepRunner runner(quickParams());
+        writeSweepJson(cold, runner.run(grid.designs, grid.workloads, opts));
+    }
+    SweepRunner runner(quickParams());
+    SweepTally tally;
+    opts.tally = &tally;
+    writeSweepJson(warm, runner.run(grid.designs, grid.workloads, opts));
+    EXPECT_EQ(tally.simulated, 0u);
+    EXPECT_EQ(tally.cached, 9u);
+    EXPECT_EQ(runner.baselineCache()->simulations(), 0u);
+    EXPECT_EQ(cold.str(), warm.str());
+}
+
+TEST(SweepRunner, PartlyWarmCacheRunsBaselinesOnlyForMissedSpecs)
+{
+    TempDir dir("partial");
+    ResultCache cache(dir.str());
+    Grid grid;
+    SweepOptions opts;
+    opts.cache = &cache;
+    {
+        SweepRunner runner(quickParams());
+        runner.run(grid.designs, {&grid.stream, &grid.random}, opts);
+    }
+    SweepRunner runner(quickParams());
+    runner.run(grid.designs, grid.workloads, opts);
+    EXPECT_EQ(runner.baselineCache()->simulations(), 1u)
+        << "only micro-mixed missed";
+}
+
+TEST(SweepRunner, ThrowingBaselineSurfacesAsItsSpecsFirstCell)
+{
+    for (unsigned jobs : {1u, 4u}) {
+        Grid grid;
+        ThrowingBaselineRunner runner(quickParams());
+        SweepOptions opts;
+        opts.jobs = jobs;
+        try {
+            runner.run(grid.designs, grid.workloads, opts);
+            ADD_FAILURE() << "sweep did not throw";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "baseline failed: micro-random");
+        }
+    }
+}
+
+TEST(SweepRunner, LowestIndexFailureWinsOverLaterBaselines)
+{
+    // Both specs fail their baselines: the error reported is that of
+    // the spec reaching the grid first, however the tasks interleave.
+    for (unsigned jobs : {1u, 4u}) {
+        Grid grid;
+        ThrowingBaselineRunner runner(quickParams());
+        runner.poison = {"micro-random", "micro-stream"};
+        SweepOptions opts;
+        opts.jobs = jobs;
+        std::vector<SweepCell> cells = {
+            {schemes::Scheme::Naive, &grid.random},
+            {schemes::Scheme::Naive, &grid.stream},
+            {schemes::Scheme::Shm, &grid.random},
+        };
+        try {
+            runner.runCells(cells, opts);
+            ADD_FAILURE() << "sweep did not throw";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "baseline failed: micro-random");
+        }
+    }
+}
+
+TEST(SweepRunner, CancelAfterCountsCellsNotBaselines)
+{
+    // Three baseline tasks run before any cell; cancelling after one
+    // completed cell must still leave exactly that cell.
+    Grid grid;
+    SweepRunner runner(quickParams());
+    SweepOptions opts;
+    opts.jobs = 1;
+    opts.cancelAfter = 1;
+    try {
+        runner.run(grid.designs, grid.workloads, opts);
+        ADD_FAILURE() << "sweep was not cancelled";
+    } catch (const SweepCancelled &e) {
+        ASSERT_EQ(e.partial.size(), 1u);
+        EXPECT_EQ(e.partial[0].workload, "micro-stream");
+        EXPECT_EQ(e.partial[0].scheme, "Naive");
+        EXPECT_EQ(e.totalCells, 9u);
+    }
 }
