@@ -1,47 +1,26 @@
 #!/usr/bin/env python3
-"""Compare a fresh bench-self result against the committed baseline.
+"""Same-host A/B gate over two `shmgpu bench-self` results.
 
-Usage: compare_baseline.py FRESH.json BASELINE.json
-           [--threshold 0.10] [--strict]
+Usage: compare_baseline.py HEAD.json BASE.json
 
-Prints a GitHub Actions ::warning:: (and exits 0 — tracking, not
-gating) when the fresh best_cells_per_second falls more than the
-threshold below the baseline. With --strict the shortfall exits 1
-instead: use that only for same-machine A/B comparisons (two builds
-benched back to back on one host), where the noise a cross-machine
-comparison has to tolerate does not apply. The comparison is skipped
-with a notice when the two files measured different configurations
-(cycle cap, grid size, or engine), since those numbers are not
-comparable.
+Both files must come from one host, benched back to back: BASE.json
+from the merge-base binary, HEAD.json from the change under test. The
+gate exits 1 when HEAD's best_cells_per_second falls more than 2%
+below BASE's. It also exits 1 when either file lacks a config key, or
+the two disagree on one: such a pair measured different grids, and
+passing it would silently skip the gate. Keys only one side writes
+(an older bench-self recorded more) are ignored.
 """
 
 import argparse
 import json
 import sys
 
-# A fresh result must match the baseline on these fields for the
-# throughput comparison to mean anything. "policy" keeps a --policy
-# sieve run from being compared against the default-LRU baseline, and
-# "cryptoBackend" keeps a --crypto scalar A/B run from being compared
-# against the dispatched (aesni/vaes) baseline (absent
-# in baselines recorded before the field existed, which .get() treats
-# as None — re-record the baseline to compare). "resultsDir" and
-# "zipf" scope bench-sweep results (BENCH_sweepcache.json): the cache
-# state the bench started from and the Zipf grid shape both move its
-# timings, so runs recorded against different values are not
-# comparable. Both are absent from bench-self files on each side, so
-# bench-self comparisons are unaffected. "scenario" and "tenants"
-# scope bench-tenants results (BENCH_tenants.json): a multi-tenant
-# run's cost scales with the mix, so only identically-shaped scenario
-# benches compare — and the keys keep a bench-tenants file from ever
-# being compared against a single-workload baseline. "schemes" and
-# "adaptEpoch" scope bench-self grids recorded with --schemes /
-# --adapt-epoch (the SHM_adaptive perf-smoke baseline), so an
-# adaptive-grid run never compares against the classic 3x3.
-CONFIG_KEYS = ("benchmark", "gpu", "kernel_loop", "policy",
-               "max_cycles_per_kernel", "cells",
-               "cryptoBackend", "resultsDir", "zipf", "scenario",
-               "tenants", "schemes", "adaptEpoch")
+# The grid identity bench-self writes; both sides must match on all.
+CONFIG_KEYS = ("benchmark", "gpu", "max_cycles_per_kernel", "cells")
+METRIC = "best_cells_per_second"
+# The largest same-host shortfall the gate tolerates.
+THRESHOLD = 0.02
 
 
 def load(path):
@@ -51,45 +30,40 @@ def load(path):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("fresh")
-    parser.add_argument("baseline")
-    parser.add_argument("--threshold", type=float, default=0.10,
-                        help="warn when fresh < (1-threshold) * baseline")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit 1 (instead of warning) on a "
-                             "shortfall beyond the threshold; for "
-                             "same-machine A/B comparisons")
+    parser.add_argument("head")
+    parser.add_argument("base")
     args = parser.parse_args()
 
-    fresh = load(args.fresh)
-    base = load(args.baseline)
+    head = load(args.head)
+    base = load(args.base)
 
+    for key in CONFIG_KEYS + (METRIC,):
+        for name, doc in (("head", head), ("base", base)):
+            if key not in doc:
+                print(f"::error::{name} result has no '{key}'; "
+                      "not a bench-self result")
+                return 1
     for key in CONFIG_KEYS:
-        if fresh.get(key) != base.get(key):
-            print(f"::notice::bench-self configs differ on '{key}' "
-                  f"({fresh.get(key)!r} vs baseline {base.get(key)!r}); "
-                  "skipping throughput comparison")
-            return 0
-
-    fresh_cps = fresh["best_cells_per_second"]
-    base_cps = base["best_cells_per_second"]
-    if base_cps <= 0:
-        print("::notice::baseline throughput is zero; nothing to compare")
-        return 0
-
-    ratio = fresh_cps / base_cps
-    line = (f"bench-self: {fresh_cps:.2f} cells/s vs committed baseline "
-            f"{base_cps:.2f} ({ratio:.2%})")
-    if ratio < 1.0 - args.threshold:
-        if args.strict:
-            print(f"::error::{line} — regression beyond "
-                  f"{args.threshold:.0%} on a same-machine A/B")
+        if head[key] != base[key]:
+            print(f"::error::bench-self configs differ on '{key}' "
+                  f"({head[key]!r} vs base {base[key]!r}); the A/B "
+                  "pair must run one grid")
             return 1
-        print(f"::warning::{line} — possible hot-path regression "
-              f"(>{args.threshold:.0%} below baseline; non-gating, CI "
-              "machines are noisy)")
-    else:
-        print(line)
+
+    head_cps = head[METRIC]
+    base_cps = base[METRIC]
+    if base_cps <= 0:
+        print("::error::base throughput is not positive")
+        return 1
+
+    ratio = head_cps / base_cps
+    line = (f"bench-self: {head_cps:.2f} cells/s vs base "
+            f"{base_cps:.2f} ({ratio:.2%})")
+    if ratio < 1.0 - THRESHOLD:
+        print(f"::error::{line} — regression beyond "
+              f"{THRESHOLD:.0%} on a same-host A/B")
+        return 1
+    print(line)
     return 0
 
 

@@ -7,7 +7,8 @@
  * timing-wheel CalendarQueue vs. DaryHeap on the kernel engine's SM
  * ready-event pattern, the shift/mask address mapping, and the cache
  * access and replacement paths. These isolate the per-structure wins
- * (and costs) that `shmgpu bench-self` measures end to end.
+ * (and costs); end-to-end throughput and per-layer host time come from
+ * `python3 perfbench/run.py --workload paper_grid [--trace 1]`.
  */
 
 #include <benchmark/benchmark.h>

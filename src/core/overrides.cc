@@ -127,17 +127,4 @@ applyCryptoOverrides(Config &config)
         crypto::setBackend(crypto::backendFromName(name));
 }
 
-void
-applyOverridesFile(const std::string &path, gpu::GpuParams &gpu,
-                   mee::MeeParams &mee)
-{
-    Config config = Config::fromFile(path);
-    applyGpuOverrides(config, gpu);
-    applyMeeOverrides(config, mee);
-    trace::TraceParams scratch;
-    applyTraceOverrides(config, scratch);
-    applyCryptoOverrides(config);
-    config.assertConsumed();
-}
-
 } // namespace shmgpu::core

@@ -67,13 +67,6 @@ void applyTraceOverrides(Config &config, trace::TraceParams &params);
  */
 void applyCryptoOverrides(Config &config);
 
-/**
- * Apply everything from a file to both parameter sets and fail on
- * unknown keys.
- */
-void applyOverridesFile(const std::string &path, gpu::GpuParams &gpu,
-                        mee::MeeParams &mee);
-
 } // namespace shmgpu::core
 
 #endif // SHMGPU_CORE_OVERRIDES_HH

@@ -114,7 +114,7 @@ addRunOptions(Fingerprint &h, const RunOptions &o)
 std::uint64_t
 cellKey(const gpu::GpuParams &gpu, const gpu::EnergyParams &energy,
         const RunOptions &options, schemes::Scheme scheme,
-        const workload::WorkloadSpec &spec, crypto::Backend backend,
+        const workload::WorkloadSpec &spec,
         const std::string &code_version)
 {
     Fingerprint h;
@@ -124,7 +124,6 @@ cellKey(const gpu::GpuParams &gpu, const gpu::EnergyParams &energy,
     addEnergyParams(h, energy);
     addRunOptions(h, options);
     h.str(schemes::schemeName(scheme));
-    h.str(crypto::backendName(backend));
     h.u64(workload::contentHash(spec));
     return h.value();
 }
@@ -136,7 +135,7 @@ scenarioCellKey(const gpu::GpuParams &gpu, const gpu::EnergyParams &energy,
                 std::optional<mee::AdaptThresholds> adapt_thresholds,
                 schemes::Scheme scheme,
                 const workload::ScenarioSpec &scenario,
-                crypto::Backend backend, const std::string &code_version)
+                const std::string &code_version)
 {
     Fingerprint h;
     h.str(code_version);
@@ -150,7 +149,6 @@ scenarioCellKey(const gpu::GpuParams &gpu, const gpu::EnergyParams &energy,
     h.str(mem::policyName(mdc_policy));
     addAdaptKnobs(h, adapt_epoch, adapt_thresholds);
     h.str(schemes::schemeName(scheme));
-    h.str(crypto::backendName(backend));
     h.u64(workload::contentHash(scenario));
     return h.value();
 }

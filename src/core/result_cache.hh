@@ -16,11 +16,11 @@
  *   - the scheme (which determines mee::MeeParams via the registry),
  *   - workload::contentHash of the spec (not its name: regenerated
  *     parameter sweeps reusing a name cannot alias),
- *   - the active software crypto backend (bit-identical by
- *     construction, hashed anyway so a backend A/B never reads the
- *     other backend's cells),
  *   - a code-version stamp baked in at build time, so rebuilding a
  *     changed simulator invalidates every cached cell at once.
+ *
+ * The software crypto backend is not a key input: the timing path
+ * never calls crypto, so every backend shares one set of cells.
  *
  * Cells serialize one-per-file as
  * `<dir>/cell-<16-hex-key>.json` containing the same JSON object the
@@ -46,7 +46,6 @@
 
 #include "common/json.hh"
 #include "core/experiment.hh"
-#include "crypto/dispatch.hh"
 #include "gpu/energy.hh"
 #include "gpu/params.hh"
 #include "workload/scenario.hh"
@@ -71,13 +70,12 @@ std::uint64_t cellKey(const gpu::GpuParams &gpu,
                       const RunOptions &options,
                       schemes::Scheme scheme,
                       const workload::WorkloadSpec &spec,
-                      crypto::Backend backend,
                       const std::string &code_version = codeVersion());
 
 /**
  * The cell key of one multi-tenant scenario cell (core/scenario.hh).
  * Same fingerprint inputs as cellKey — full GpuParams/EnergyParams,
- * scheme, crypto backend, code version — with the workload hash
+ * scheme, code version — with the workload hash
  * replaced by workload::contentHash(scenario) (which folds in every
  * tenant's workload, arrivals, share policy, quantum, MDC-flush flag
  * and key seed), the metrics-relevant scenario run options
@@ -96,7 +94,6 @@ std::uint64_t scenarioCellKey(const gpu::GpuParams &gpu,
                                   adapt_thresholds,
                               schemes::Scheme scheme,
                               const workload::ScenarioSpec &scenario,
-                              crypto::Backend backend,
                               const std::string &code_version =
                                   codeVersion());
 

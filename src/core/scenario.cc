@@ -258,7 +258,6 @@ runScenarioCells(const gpu::GpuParams &gpu_params,
         run.soloCache = &solos;
 
     const std::string &code_version = codeVersion();
-    const crypto::Backend backend = crypto::activeBackend();
     const gpu::EnergyParams energy{};
 
     std::atomic<std::size_t> next_cell{0};
@@ -283,7 +282,7 @@ runScenarioCells(const gpu::GpuParams &gpu_params,
                                           run.adaptEpoch,
                                           run.adaptThresholds,
                                           cells[i].scheme,
-                                          *cells[i].scenario, backend,
+                                          *cells[i].scenario,
                                           code_version);
                     hit = loadScenarioCell(*options.cache, key,
                                            &results[i]);

@@ -136,7 +136,6 @@ SweepRunner::runCells(const std::vector<SweepCell> &cells,
     std::vector<std::uint64_t> keys(n);
     if (options.cache) {
         const std::string &code_version = codeVersion();
-        const crypto::Backend backend = crypto::activeBackend();
         std::atomic<std::size_t> next{0};
         runOnPool(jobs, [&] {
             for (std::size_t i = next.fetch_add(1); i < n;
@@ -146,8 +145,7 @@ SweepRunner::runCells(const std::vector<SweepCell> &cells,
                 try {
                     keys[i] = cellKey(baselines->gpuParams(), energyConfig,
                                       options.run, cells[i].scheme,
-                                      *cells[i].spec, backend,
-                                      code_version);
+                                      *cells[i].spec, code_version);
                     if (options.cache->load(keys[i], &results[i])) {
                         finished[i].store(true);
                         cell_done();

@@ -38,7 +38,6 @@
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
-#include "common/profile.hh"
 
 namespace shmgpu::gpu
 {
@@ -183,7 +182,6 @@ GpuSimulator::runScenario()
 void
 GpuSimulator::runTimeSliced()
 {
-    profile::ScopedTimer timer(profile::Phase::KernelLoop);
     using State = TenantContext::State;
 
     const auto n = static_cast<std::uint32_t>(tenants.size());
@@ -236,7 +234,6 @@ GpuSimulator::runTimeSliced()
 void
 GpuSimulator::runPartitioned()
 {
-    profile::ScopedTimer timer(profile::Phase::KernelLoop);
     using State = TenantContext::State;
 
     // Tenant lifecycle wakeups: arrivals, then each kernel's drain

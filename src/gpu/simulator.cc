@@ -4,7 +4,6 @@
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
-#include "common/profile.hh"
 
 namespace shmgpu::gpu
 {
@@ -94,8 +93,6 @@ GpuSimulator::GpuSimulator(const GpuParams &gpu_params,
 void
 GpuSimulator::init()
 {
-    profile::ScopedTimer timer(profile::Phase::Init);
-
     // Metadata layout: per-partition geometry over local addresses
     // (PSSM-style), or one global geometry over physical addresses.
     meta::LayoutParams lp;
@@ -336,8 +333,6 @@ template <typename Source>
 void
 GpuSimulator::eventKernelLoop(Source &source, std::uint32_t window)
 {
-    profile::ScopedTimer timer(profile::Phase::KernelLoop);
-
     KernelRun k;
     k.smHi = gpuConfig.numSms;
     k.partHi = static_cast<PartitionId>(gpuConfig.numPartitions);
@@ -513,13 +508,7 @@ GpuSimulator::kernelTail(KernelRun &k)
         sms[s].outstanding = 0;
     }
 
-    const std::uint64_t advanced = final_cycle - k.kernelStart;
-    cyclesSkipped += advanced - k.busyCycles;
-    if (profile::enabled()) {
-        profile::addCount(profile::Counter::KernelCycles, advanced);
-        profile::addCount(profile::Counter::CyclesSkipped,
-                          advanced - k.busyCycles);
-    }
+    cyclesSkipped += final_cycle - k.kernelStart - k.busyCycles;
     return final_cycle;
 }
 
@@ -533,8 +522,6 @@ template <typename Source>
 void
 GpuSimulator::referenceKernelLoop(Source &source, std::uint32_t window)
 {
-    profile::ScopedTimer timer(profile::Phase::KernelLoop);
-
     currentWindow = window;
     for (auto &u : sms) {
         u.hasOp = false;

@@ -5,7 +5,6 @@
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
-#include "common/profile.hh"
 
 namespace shmgpu::mee
 {
@@ -600,7 +599,6 @@ MeeEngine::attributeStreamPrediction(LocalAddr local, bool predicted_str)
 Cycle
 MeeEngine::onRead(LocalAddr local, Addr phys, Cycle now, MemSpace space)
 {
-    profile::ScopedTimer timer(profile::Phase::MetaPath);
     ++statReads;
     if (activeTally)
         ++activeTally->reads;
@@ -719,7 +717,6 @@ MeeEngine::onWrite(LocalAddr local, Addr phys, Cycle now, MemSpace space)
 {
     (void)space; // writes to static read-only spaces cannot happen
 
-    profile::ScopedTimer timer(profile::Phase::MetaPath);
     ++statWrites;
     if (activeTally)
         ++activeTally->writes;

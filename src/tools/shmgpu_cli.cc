@@ -39,9 +39,11 @@
  *       sweeps load matching cells instead of re-simulating, so an
  *       interrupted sweep resumes where it stopped (docs/SWEEP.md).
  *
- *   shmgpu bench-sweep [--side N] [--cycles N] [--out FILE]
- *       Time a Zipf grid cold / warm / half-resumed against one
- *       results directory (the result-cache benchmark).
+ *   shmgpu bench-self [--reps N] [--out FILE]
+ *       Time the pinned 3x3 grid in cells per second: the probe both
+ *       sides of a same-host merge-base-vs-head A/B run.
+ *
+ *   Any subcommand given --help prints this usage and exits 0.
  */
 
 #include <algorithm>
@@ -50,9 +52,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <map>
 #include <memory>
 #include <set>
@@ -61,7 +61,6 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "common/profile.hh"
 #include "core/experiment.hh"
 #include "core/overrides.hh"
 #include "core/result_cache.hh"
@@ -166,11 +165,10 @@ class Args
 };
 
 int
-usage()
+usage(int rc = 2)
 {
     std::puts("usage: shmgpu"
-              " <list|run|sweep|trace|trace-info|bench-self|bench-sweep"
-              "|bench-tenants> [flags]\n"
+              " <list|run|sweep|trace|trace-info|bench-self> [flags]\n"
               "  shmgpu list\n"
               "  shmgpu run (--workload NAME | --spec FILE |"
               " --scenario FILE) [--scheme SHM]"
@@ -179,7 +177,7 @@ usage()
               " [--crypto auto|scalar|aesni|vaes]"
               " [--overrides CFG]"
               " [--adapt-epoch N] [--adapt-thresholds R,S,M]"
-              " [--stats FILE] [--json FILE] [--accuracy] [--profile]"
+              " [--stats FILE] [--json FILE] [--accuracy]"
               " [--reference-loop] [--no-solo]"
               " [--trace OUT.json] [--trace-text OUT.txt]\n"
               "  shmgpu sweep [--workloads a,b,c|all] [--schemes X,Y|all]"
@@ -199,19 +197,8 @@ usage()
               "  shmgpu trace run --in FILE [--scheme SHM] [--cycles N]\n"
               "  shmgpu trace info --in FILE\n"
               "  shmgpu trace-info --in TRACE.json\n"
-              "  shmgpu bench-self [--quick] [--cycles N] [--reps N]"
-              " [--gpu turing|big|test] [--policy P]"
-              " [--schemes X,Y] [--adapt-epoch N]"
-              " [--crypto auto|scalar|aesni|vaes] [--overrides CFG]"
-              " [--out BENCH_hotpath.json]"
-              " [--profile] [--reference-loop]\n"
-              "  shmgpu bench-sweep [--side N] [--cycles N] [--jobs N]"
-              " [--gpu turing|big|test] [--scheme SHM]"
-              " [--results-dir DIR] [--out BENCH_sweepcache.json]\n"
-              "  shmgpu bench-tenants [--scenario FILE] [--scheme SHM]"
-              " [--gpu turing|big|test] [--cycles N] [--reps N]"
-              " [--quantums Q1,Q2,...] [--out BENCH_tenants.json]");
-    return 2;
+              "  shmgpu bench-self [--reps N] [--out FILE]");
+    return rc;
 }
 
 void
@@ -415,11 +402,6 @@ cmdRun(const Args &args)
                         : parsed;
     auto scheme = schemes::schemeFromName(args.get("scheme", "SHM"));
 
-    if (args.has("profile")) {
-        profile::setEnabled(true);
-        profile::reset();
-    }
-
     core::RunOptions opts;
     gpu::GpuParams gp = gpuParamsFrom(args, &opts.traceParams,
                                       &opts.mdcPolicy, &opts.adaptEpoch,
@@ -432,9 +414,6 @@ cmdRun(const Args &args)
     if (!opts.tracePath.empty())
         std::printf("trace written to %s\n", opts.tracePath.c_str());
     printSummary(r);
-
-    if (args.has("profile"))
-        profile::report(std::cout);
 
     if (opts.collectAccuracy) {
         double ro_total = r.metrics.roCorrect + r.metrics.roMpInit +
@@ -813,64 +792,33 @@ cmdSweep(const Args &args)
 }
 
 /**
- * Self-measuring hot-path throughput benchmark: a pinned 3x3
- * (workload x scheme) grid timed in simulated cells per second.
- * Baselines are warmed untimed so the measurement covers exactly the
- * secure-scheme simulations; the best of --reps repetitions is the
- * reported figure (least-noise estimator on a shared machine).
+ * Same-host A/B throughput probe: the pinned 3x3 (workload x scheme)
+ * grid on the turing preset at a 50k-cycle kernel cap, timed in
+ * simulated cells per second. Baselines are warmed untimed so the
+ * measurement covers exactly the secure-scheme simulations; the best
+ * of --reps repetitions is the reported figure (least-noise estimator
+ * on a shared machine). The grid is fixed because the A/B gate passes
+ * one command line to both the merge-base and the head binary.
  */
 int
 cmdBenchSelf(const Args &args)
 {
     const std::vector<std::string> workload_names = {"atax", "mvt", "bfs"};
-    // --schemes reshapes the measured grid (perf-smoke uses it to pin
-    // a separate SHM_adaptive baseline); the default stays the classic
-    // 3x3.
-    std::vector<schemes::Scheme> designs;
-    for (const auto &name :
-         splitList(args.get("schemes", "Naive,PSSM,SHM")))
-        designs.push_back(schemes::schemeFromName(name));
-    shm_assert(!designs.empty(), "bench-self needs at least one scheme");
+    const std::vector<schemes::Scheme> designs = {
+        schemes::Scheme::Naive, schemes::Scheme::Pssm,
+        schemes::Scheme::Shm};
+    const std::string gpu_name = "turing";
+    constexpr std::uint64_t cycles = 50000;
 
-    bool quick = args.has("quick");
-    std::uint64_t cycles =
-        args.number<std::uint64_t>("cycles", quick ? 10000 : 50000);
-    unsigned reps = args.number<unsigned>("reps", quick ? 1 : 3);
+    unsigned reps = args.number<unsigned>("reps", 3);
     shm_assert(reps > 0, "bench-self needs at least one repetition");
-    std::string out = args.get("out", "BENCH_hotpath.json");
-
-    if (args.has("profile")) {
-        profile::setEnabled(true);
-        profile::reset();
-    }
+    std::string out = args.get("out", "bench-self.json");
+    // Reject unknown flags before the timed grid, not after it.
+    args.assertConsumed("bench-self");
     log_detail::setVerbose(false);
 
-    gpu::GpuParams gp = gpu::presetByName(args.get("gpu", "turing"));
+    gpu::GpuParams gp = gpu::presetByName(gpu_name);
     gp.maxCyclesPerKernel = cycles;
-    if (args.has("reference-loop"))
-        gp.referenceKernelLoop = true;
-    // --overrides reaches the engine knobs bench-self exercises
-    // (crypto.backend, cache.policy, ...); --crypto
-    // and --policy below still win over the file, like cmdRun.
-    std::string overrides = args.get("overrides");
-    if (!overrides.empty()) {
-        mee::MeeParams mee_scratch;
-        core::applyOverridesFile(overrides, gp, mee_scratch);
-    }
-    std::string backend = args.get("crypto");
-    if (!backend.empty())
-        crypto::setBackend(crypto::backendFromName(backend));
-
-    core::RunOptions run_opts;
-    std::string policy_name = args.get("policy");
-    if (!policy_name.empty()) {
-        mem::PolicyKind kind = mem::policyFromName(policy_name);
-        gpu::applyCachePolicy(gp, kind);
-        run_opts.mdcPolicy = kind;
-    }
-    std::string epoch_arg = args.get("adapt-epoch");
-    if (!epoch_arg.empty())
-        run_opts.adaptEpoch = parseNumber<Cycle>("adapt-epoch", epoch_arg);
 
     std::vector<const workload::WorkloadSpec *> workloads;
     for (const auto &name : workload_names)
@@ -890,7 +838,7 @@ cmdBenchSelf(const Args &args)
         auto t0 = clock::now();
         for (const auto *w : workloads)
             for (auto scheme : designs)
-                exp.run(scheme, *w, run_opts);
+                exp.run(scheme, *w);
         double secs = std::chrono::duration<double>(clock::now() - t0)
                           .count();
         rep_seconds.push_back(secs);
@@ -903,33 +851,14 @@ cmdBenchSelf(const Args &args)
                 "%llu-cycle kernel cap)\n",
                 best, cells, static_cast<unsigned long long>(cycles));
 
+    // benchmark, gpu, max_cycles_per_kernel and cells are the keys
+    // bench/compare_baseline.py requires to match across the A/B pair.
     json::Value doc = json::Value::object();
     doc["benchmark"] = "bench-self";
-    doc["gpu"] = args.get("gpu", "turing");
-    doc["kernel_loop"] = gp.referenceKernelLoop ? "reference" : "event";
-    doc["policy"] = mem::policyName(gp.l2Policy);
-    doc["cryptoBackend"] =
-        crypto::backendName(crypto::activeBackend());
+    doc["gpu"] = gpu_name;
     doc["max_cycles_per_kernel"] = cycles;
     doc["reps"] = static_cast<std::uint64_t>(reps);
     doc["cells"] = static_cast<std::uint64_t>(cells);
-    // Top-level config identity for compare_baseline.py: the nested
-    // grid object is informational, but the comparison script only
-    // matches flat keys, so the scheme list (and the adaptive epoch,
-    // when pinned) are repeated here to keep an SHM_adaptive baseline
-    // from ever being compared against the classic 3x3.
-    {
-        std::string joined;
-        for (auto scheme : designs) {
-            if (!joined.empty())
-                joined += ",";
-            joined += schemes::schemeName(scheme);
-        }
-        doc["schemes"] = joined;
-    }
-    if (run_opts.adaptEpoch)
-        doc["adaptEpoch"] =
-            static_cast<std::uint64_t>(*run_opts.adaptEpoch);
     json::Value grid = json::Value::object();
     json::Value wl = json::Value::array();
     for (const auto &name : workload_names)
@@ -945,261 +874,6 @@ cmdBenchSelf(const Args &args)
         secs.append(s);
     doc["rep_seconds"] = std::move(secs);
     doc["best_cells_per_second"] = best;
-
-    std::ofstream os(out, std::ios::binary);
-    if (!os)
-        shm_fatal("cannot open '{}' for writing", out);
-    doc.write(os, 2);
-    os << "\n";
-    std::printf("benchmark results written to %s\n", out.c_str());
-
-    if (args.has("profile"))
-        profile::report(std::cout);
-    return 0;
-}
-
-/**
- * Result-cache benchmark: time one (side x side) Zipf grid three ways
- * against the same results directory — cold (starting empty), warm
- * (fully populated: every cell loads, nothing simulates), and
- * half-resumed (every other cell file deleted, the state an
- * interrupted sweep leaves behind) — and emit BENCH_sweepcache.json.
- * The warm/cold ratio is the headline number: it is what
- * `sweep --results-dir` buys a rerun of an already-computed grid.
- */
-int
-cmdBenchSweep(const Args &args)
-{
-    const unsigned side = args.number<unsigned>("side", 32);
-    shm_assert(side > 0, "bench-sweep needs a positive --side");
-    std::uint64_t cycles = args.number<std::uint64_t>("cycles", 2000);
-    unsigned jobs = args.number<unsigned>("jobs", 1);
-    std::string out = args.get("out", "BENCH_sweepcache.json");
-    std::string dir = args.get("results-dir", "bench-sweep-cache");
-    auto scheme = schemes::schemeFromName(args.get("scheme", "SHM"));
-
-    log_detail::setVerbose(false);
-
-    gpu::GpuParams gp = gpu::presetByName(args.get("gpu", "test"));
-    gp.maxCyclesPerKernel = cycles;
-
-    // The footprint x alpha grid: footprints step up from 64K,
-    // alphas sweep the near-uniform..strongly-skewed band.
-    std::vector<workload::WorkloadSpec> specs;
-    specs.reserve(static_cast<std::size_t>(side) * side);
-    for (unsigned i = 0; i < side; ++i) {
-        std::uint64_t footprint = (64ull + 16ull * i) << 10;
-        for (unsigned j = 0; j < side; ++j) {
-            double alpha = 0.05 * (j + 1);
-            specs.push_back(workload::makeZipfSpec(footprint, alpha));
-        }
-    }
-    std::vector<const workload::WorkloadSpec *> workloads;
-    workloads.reserve(specs.size());
-    for (const auto &s : specs)
-        workloads.push_back(&s);
-    const std::size_t cells = workloads.size();
-
-    // The bench owns its directory: always start cold.
-    std::filesystem::remove_all(dir);
-
-    using clock = std::chrono::steady_clock;
-    auto timed = [&](const char *label, core::SweepTally *tally) {
-        core::ResultCache cache(dir);
-        core::SweepOptions opts;
-        opts.jobs = jobs;
-        opts.cache = &cache;
-        opts.tally = tally;
-        core::SweepRunner runner(gp);
-        auto t0 = clock::now();
-        runner.run({scheme}, workloads, opts);
-        double secs =
-            std::chrono::duration<double>(clock::now() - t0).count();
-        std::printf("%-13s %zu cells in %8.3f s  "
-                    "(%zu simulated, %zu from cache)\n",
-                    label, cells, secs, tally->simulated,
-                    tally->cached);
-        return secs;
-    };
-
-    core::SweepTally cold_tally, warm_tally, half_tally;
-    double cold_secs = timed("cold", &cold_tally);
-    double warm_secs = timed("warm", &warm_tally);
-
-    // Interrupt simulation: drop every other cell file (sorted, so
-    // the survivors are the same set on every run).
-    std::vector<std::filesystem::path> files;
-    for (const auto &entry : std::filesystem::directory_iterator(dir))
-        files.push_back(entry.path());
-    std::sort(files.begin(), files.end());
-    for (std::size_t i = 0; i < files.size(); i += 2)
-        std::filesystem::remove(files[i]);
-    double half_secs = timed("half-resumed", &half_tally);
-
-    shm_assert(warm_tally.simulated == 0,
-               "warm pass simulated cells; the cache key is unstable");
-    std::printf("warm speedup: %.1fx  half-resume speedup: %.1fx\n",
-                cold_secs / warm_secs, cold_secs / half_secs);
-
-    json::Value doc = json::Value::object();
-    doc["benchmark"] = "bench-sweep";
-    doc["gpu"] = args.get("gpu", "test");
-    doc["kernel_loop"] = gp.referenceKernelLoop ? "reference" : "event";
-    doc["policy"] = mem::policyName(gp.l2Policy);
-    doc["cryptoBackend"] = crypto::backendName(crypto::activeBackend());
-    doc["max_cycles_per_kernel"] = cycles;
-    doc["cells"] = static_cast<std::uint64_t>(cells);
-    doc["jobs"] = static_cast<std::uint64_t>(jobs);
-    // Config keys for compare_baseline.py: the bench always starts
-    // from an empty directory, and "zipf" pins the grid shape.
-    doc["resultsDir"] = "ephemeral";
-    char zdesc[32];
-    std::snprintf(zdesc, sizeof(zdesc), "%ux%u", side, side);
-    doc["zipf"] = zdesc;
-    doc["scheme"] = schemes::schemeName(scheme);
-    doc["cold_seconds"] = cold_secs;
-    doc["warm_seconds"] = warm_secs;
-    doc["half_resume_seconds"] = half_secs;
-    doc["warm_speedup"] = cold_secs / warm_secs;
-    doc["cold_simulated"] =
-        static_cast<std::uint64_t>(cold_tally.simulated);
-    doc["warm_cached"] = static_cast<std::uint64_t>(warm_tally.cached);
-    doc["half_resume_simulated"] =
-        static_cast<std::uint64_t>(half_tally.simulated);
-    // The warm pass is the comparable throughput figure (pure cache
-    // reads; no simulation noise).
-    doc["best_cells_per_second"] =
-        static_cast<double>(cells) / warm_secs;
-
-    std::ofstream os(out, std::ios::binary);
-    if (!os)
-        shm_fatal("cannot open '{}' for writing", out);
-    doc.write(os, 2);
-    os << "\n";
-    std::printf("benchmark results written to %s\n", out.c_str());
-    return 0;
-}
-
-/**
- * Interleaving-overhead benchmark: run a two-tenant scenario (or
- * --scenario FILE) across a quantum ladder, timed, and record the
- * headline interference numbers — mean slowdown, context switches,
- * detector-accuracy and MDC-hit-rate deltas — to BENCH_tenants.json.
- * The config keys ("tenants" among them) scope compare_baseline.py
- * the same way bench-self/bench-sweep records are scoped.
- */
-int
-cmdBenchTenants(const Args &args)
-{
-    std::uint64_t cycles = args.number<std::uint64_t>("cycles", 20000);
-    std::string out = args.get("out", "BENCH_tenants.json");
-    auto scheme = schemes::schemeFromName(args.get("scheme", "SHM"));
-
-    log_detail::setVerbose(false);
-
-    gpu::GpuParams gp = gpu::presetByName(args.get("gpu", "test"));
-    gp.maxCyclesPerKernel = cycles;
-
-    // The measured mix: a scenario file, or the default atax+mvt
-    // two-tenant time-sliced pair (self-contained, path-free).
-    workload::ScenarioSpec base;
-    std::string scenario_file = args.get("scenario");
-    if (!scenario_file.empty()) {
-        base = workload::parseScenarioFile(scenario_file);
-    } else {
-        base.name = "bench-pair";
-        workload::TenantSpec a;
-        a.name = "atax";
-        a.workload = workload::findWorkload("atax");
-        workload::TenantSpec b;
-        b.name = "mvt";
-        b.workload = workload::findWorkload("mvt");
-        base.tenants.push_back(std::move(a));
-        base.tenants.push_back(std::move(b));
-    }
-
-    std::vector<Cycle> quantums;
-    for (const auto &tok :
-         splitList(args.get("quantums", "2000,5000,20000")))
-        quantums.push_back(parseNumber<Cycle>("quantums", tok));
-
-    core::ScenarioSoloCache solos(gp);
-    core::ScenarioRunOptions run_opts;
-    run_opts.soloCache = &solos;
-    // Warm the solo references untimed so the measured region holds
-    // only the shared runs (the interleaving cost itself).
-    for (const auto &t : base.tenants)
-        solos.soloFor(scheme, t.workload, base.keySeed,
-                      run_opts.mdcPolicy);
-
-    unsigned reps = args.number<unsigned>("reps", 3);
-    shm_assert(reps > 0, "bench-tenants needs at least one repetition");
-
-    using clock = std::chrono::steady_clock;
-    json::Value rows = json::Value::array();
-    double total_secs = 0;
-    std::size_t cells = 0;
-    for (Cycle q : quantums) {
-        workload::ScenarioSpec scn = base;
-        scn.policy = workload::SharePolicy::TimeSliced;
-        scn.quantumCycles = q;
-        // Best of --reps: results are deterministic across reps, only
-        // the wall clock varies.
-        core::ScenarioExperimentResult r;
-        double secs = 0;
-        for (unsigned rep = 0; rep < reps; ++rep) {
-            auto t0 = clock::now();
-            r = core::runScenarioExperiment(gp, scheme, scn, run_opts);
-            double s = std::chrono::duration<double>(clock::now() - t0)
-                           .count();
-            if (rep == 0 || s < secs)
-                secs = s;
-        }
-        total_secs += secs;
-        ++cells;
-
-        double ro_delta = 0, mdc_delta = 0;
-        for (const auto &t : r.tenants) {
-            ro_delta += t.roAccuracyDelta;
-            mdc_delta += t.mdcHitRateDelta;
-        }
-        ro_delta /= static_cast<double>(r.tenants.size());
-        mdc_delta /= static_cast<double>(r.tenants.size());
-
-        std::printf("quantum %-8llu switches=%-5llu "
-                    "meanSlowdown=%.3fx roAccDelta=%+.4f "
-                    "mdcHitDelta=%+.4f (%.3f s)\n",
-                    static_cast<unsigned long long>(q),
-                    static_cast<unsigned long long>(
-                        r.metrics.contextSwitches),
-                    r.meanSlowdown, ro_delta, mdc_delta, secs);
-
-        json::Value row = json::Value::object();
-        row["quantum"] = json::Value(static_cast<std::uint64_t>(q));
-        row["contextSwitches"] =
-            json::Value(r.metrics.contextSwitches);
-        row["meanSlowdown"] = json::Value(r.meanSlowdown);
-        row["meanRoAccuracyDelta"] = json::Value(ro_delta);
-        row["meanMdcHitRateDelta"] = json::Value(mdc_delta);
-        row["seconds"] = json::Value(secs);
-        rows.append(std::move(row));
-    }
-
-    json::Value doc = json::Value::object();
-    doc["benchmark"] = "bench-tenants";
-    doc["gpu"] = args.get("gpu", "test");
-    doc["kernel_loop"] = gp.referenceKernelLoop ? "reference" : "event";
-    doc["policy"] = mem::policyName(gp.l2Policy);
-    doc["cryptoBackend"] = crypto::backendName(crypto::activeBackend());
-    doc["max_cycles_per_kernel"] = cycles;
-    doc["cells"] = static_cast<std::uint64_t>(cells);
-    doc["reps"] = static_cast<std::uint64_t>(reps);
-    doc["scheme"] = schemes::schemeName(scheme);
-    doc["scenario"] = base.name;
-    doc["tenants"] = static_cast<std::uint64_t>(base.tenants.size());
-    doc["quantums"] = std::move(rows);
-    doc["best_cells_per_second"] =
-        total_secs > 0 ? static_cast<double>(cells) / total_secs : 0.0;
 
     std::ofstream os(out, std::ios::binary);
     if (!os)
@@ -1371,6 +1045,10 @@ main(int argc, char **argv)
 {
     if (argc < 2)
         return usage();
+    // --help anywhere prints usage before any subcommand runs.
+    for (int i = 1; i < argc; ++i)
+        if (std::strcmp(argv[i], "--help") == 0)
+            return usage(0);
     const std::string cmd = argv[1];
 
     // trace-info summarizes a --trace export; "trace" names the
@@ -1388,8 +1066,6 @@ main(int argc, char **argv)
         {"run", cmdRun},
         {"sweep", cmdSweep},
         {"bench-self", cmdBenchSelf},
-        {"bench-sweep", cmdBenchSweep},
-        {"bench-tenants", cmdBenchTenants},
         {"trace-info", cmdTraceInfo},
     };
     auto it = commands.find(cmd);

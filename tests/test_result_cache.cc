@@ -16,6 +16,7 @@
 
 #include "core/result_cache.hh"
 #include "core/sweep.hh"
+#include "crypto/dispatch.hh"
 #include "workload/benchmarks.hh"
 
 using namespace shmgpu;
@@ -53,11 +54,9 @@ std::uint64_t
 keyWith(const gpu::GpuParams &gp, const RunOptions &opts,
         const workload::WorkloadSpec &spec,
         schemes::Scheme scheme = schemes::Scheme::Shm,
-        crypto::Backend backend = crypto::Backend::Scalar,
         const std::string &version = "v-test")
 {
-    return cellKey(gp, gpu::EnergyParams{}, opts, scheme, spec, backend,
-                   version);
+    return cellKey(gp, gpu::EnergyParams{}, opts, scheme, spec, version);
 }
 
 std::string
@@ -103,19 +102,33 @@ TEST(CellKey, EveryAxisMovesTheKey)
     acc.collectAccuracy = true;
     EXPECT_NE(keyWith(quickParams(), acc, spec), base);
 
-    // Scheme, workload content, crypto backend, code version.
+    // Scheme, workload content, code version.
     EXPECT_NE(keyWith(quickParams(), RunOptions{}, spec,
                       schemes::Scheme::Naive),
               base);
     auto other = workload::makeRandomMicro();
     EXPECT_NE(keyWith(quickParams(), RunOptions{}, other), base);
     EXPECT_NE(keyWith(quickParams(), RunOptions{}, spec,
-                      schemes::Scheme::Shm, crypto::Backend::AesNi),
+                      schemes::Scheme::Shm, "v-other"),
               base);
-    EXPECT_NE(keyWith(quickParams(), RunOptions{}, spec,
-                      schemes::Scheme::Shm, crypto::Backend::Scalar,
-                      "v-other"),
-              base);
+}
+
+TEST(CellKey, CryptoBackendDoesNotMoveTheKey)
+{
+    // The timing path never calls crypto, so every backend the CPU
+    // can run must share one set of cells.
+    const auto spec = workload::makeStreamingMicro();
+    const crypto::Backend saved = crypto::activeBackend();
+    const std::uint64_t base = keyWith(quickParams(), RunOptions{}, spec);
+    for (auto backend : {crypto::Backend::Scalar, crypto::Backend::AesNi,
+                         crypto::Backend::Vaes}) {
+        if (!crypto::backendSupported(backend))
+            continue;
+        crypto::setBackend(backend);
+        EXPECT_EQ(keyWith(quickParams(), RunOptions{}, spec), base)
+            << crypto::backendName(backend);
+    }
+    crypto::setBackend(saved);
 }
 
 TEST(CellKey, AdaptiveKnobsMoveTheKey)
@@ -158,7 +171,7 @@ TEST(ScenarioKey, AdaptiveKnobsMoveTheScenarioKey)
         return scenarioCellKey(quickParams(), gpu::EnergyParams{},
                                /*with_solo=*/true, mem::PolicyKind::Lru,
                                epoch, th, schemes::Scheme::ShmAdaptive,
-                               scn, crypto::Backend::Scalar, "v-test");
+                               scn, "v-test");
     };
     const std::uint64_t base = key(std::nullopt, std::nullopt);
     EXPECT_EQ(base, key(std::nullopt, std::nullopt));
@@ -405,18 +418,14 @@ TEST(ResultCacheFuzz, NoKeyCollisionsAcrossAConfigLattice)
             for (auto policy :
                  {mem::PolicyKind::Lru, mem::PolicyKind::Sieve}) {
                 for (std::uint64_t cycles : {10000u, 20000u}) {
-                    for (auto backend : {crypto::Backend::Scalar,
-                                         crypto::Backend::Vaes}) {
-                        for (const char *ver : {"a", "b", "ab"}) {
-                            gpu::GpuParams gp = quickParams();
-                            gp.l2Policy = policy;
-                            gp.maxCyclesPerKernel = cycles;
-                            RunOptions run;
-                            run.mdcPolicy = policy;
-                            keys.insert(keyWith(gp, run, spec, scheme,
-                                                backend, ver));
-                            ++produced;
-                        }
+                    for (const char *ver : {"a", "b", "ab"}) {
+                        gpu::GpuParams gp = quickParams();
+                        gp.l2Policy = policy;
+                        gp.maxCyclesPerKernel = cycles;
+                        RunOptions run;
+                        run.mdcPolicy = policy;
+                        keys.insert(keyWith(gp, run, spec, scheme, ver));
+                        ++produced;
                     }
                 }
             }
