@@ -16,6 +16,18 @@ BaselineCache::BaselineCache(const gpu::GpuParams &gpu_params)
 {
 }
 
+mee::MeeParams
+meeParamsFor(schemes::Scheme scheme, const MeeSettings &settings)
+{
+    mee::MeeParams p = schemes::makeMeeParams(scheme);
+    p.mdcPolicy = settings.mdcPolicy;
+    if (settings.adaptEpoch)
+        p.adaptEpoch = *settings.adaptEpoch;
+    if (settings.adaptThresholds)
+        p.adaptThresholds = *settings.adaptThresholds;
+    return p;
+}
+
 ProfileGeometry
 profileGeometry(schemes::Scheme scheme)
 {
@@ -132,7 +144,7 @@ Experiment::run(schemes::Scheme scheme,
     result.workload = spec.name;
     result.scheme = schemes::schemeName(scheme);
     result.l2Policy = mem::policyName(gpuParams().l2Policy);
-    result.mdcPolicy = mem::policyName(options.mdcPolicy);
+    result.mdcPolicy = mem::policyName(options.meeSettings.mdcPolicy);
     // Ask for the profile first: when this cell is the spec's first
     // user, one profiled Baseline run then provides both.
     std::shared_ptr<const detect::AccessProfile> profile;
@@ -140,12 +152,8 @@ Experiment::run(schemes::Scheme scheme,
         profile = baselines->profileFor(spec, profileGeometry(scheme));
     result.baseline = baselineFor(spec);
 
-    mee::MeeParams mee_params = schemes::makeMeeParams(scheme);
-    mee_params.mdcPolicy = options.mdcPolicy;
-    if (options.adaptEpoch)
-        mee_params.adaptEpoch = *options.adaptEpoch;
-    if (options.adaptThresholds)
-        mee_params.adaptThresholds = *options.adaptThresholds;
+    const mee::MeeParams mee_params =
+        meeParamsFor(scheme, options.meeSettings);
     result.adaptEpoch =
         mee_params.adaptive
             ? static_cast<std::uint64_t>(mee_params.adaptEpoch)

@@ -44,6 +44,32 @@ class AccessProfile;
 namespace shmgpu::core
 {
 
+/**
+ * The MEE settings a run takes on top of its scheme's registry
+ * defaults (`mee.mdc_policy`, `mee.adapt_epoch`, `mee.adapt_thresholds`
+ * and the `--policy` / `--adapt-epoch` / `--adapt-thresholds` flags).
+ * Carried beside the scheme rather than in MeeParams because the
+ * registry owns MeeParams construction: meeParamsFor stamps the record
+ * onto whatever schemes::makeMeeParams returns. Baseline and profile
+ * passes never take it (they have no metadata caches to steer).
+ */
+struct MeeSettings
+{
+    /** Replacement policy of all three metadata caches. */
+    mem::PolicyKind mdcPolicy = mem::PolicyKind::Lru;
+    /**
+     * Adaptive-scheme controls. Unset keeps the scheme defaults; an
+     * explicit adaptEpoch of 0 freezes every region at Full
+     * protection. Ignored by non-adaptive schemes.
+     */
+    std::optional<Cycle> adaptEpoch;
+    std::optional<mee::AdaptThresholds> adaptThresholds;
+};
+
+/** schemes::makeMeeParams(@p scheme) with @p settings stamped on. */
+mee::MeeParams meeParamsFor(schemes::Scheme scheme,
+                            const MeeSettings &settings);
+
 /** Options for one experiment run. */
 struct RunOptions
 {
@@ -78,25 +104,9 @@ struct RunOptions
     /** Tracer configuration (event-class filter, ring capacity). */
     trace::TraceParams traceParams;
 
-    /**
-     * Replacement policy for the MEE metadata caches (`mee.mdc_policy`
-     * / `--policy`). Carried in RunOptions rather than GpuParams
-     * because the scheme registry owns MeeParams construction: the
-     * experiment stamps this into whatever makeMeeParams returns, for
-     * the measured pass only (baseline and profile passes have no
-     * metadata caches to steer).
-     */
-    mem::PolicyKind mdcPolicy = mem::PolicyKind::Lru;
-
-    /**
-     * Adaptive-scheme controls (`mee.adapt_epoch` /
-     * `mee.adapt_thresholds`, `--adapt-epochs`), carried here for the
-     * same registry-owns-MeeParams reason as mdcPolicy. Unset keeps
-     * the scheme defaults; an explicit adaptEpoch of 0 freezes every
-     * region at Full protection. Ignored by non-adaptive schemes.
-     */
-    std::optional<Cycle> adaptEpoch;
-    std::optional<mee::AdaptThresholds> adaptThresholds;
+    /** MEE settings stamped onto the scheme's parameters for the
+     *  measured pass (see MeeSettings). */
+    MeeSettings meeSettings;
 };
 
 /** One (scheme, workload) result, normalized to the baseline. */

@@ -23,7 +23,7 @@ applyGpuOverrides(Config &config, gpu::GpuParams &p)
     p.l2Assoc = static_cast<std::uint32_t>(
         config.getU64("gpu.l2_assoc", p.l2Assoc));
     p.l2HitLatency = config.getU64("gpu.l2_hit_latency", p.l2HitLatency);
-    p.icntLatency = config.getU64("gpu.icnt_latency", p.icntLatency);
+    p.icnt.latency = config.getU64("gpu.icnt_latency", p.icnt.latency);
     p.victimMissRateThreshold = config.getDouble(
         "gpu.victim_threshold", p.victimMissRateThreshold);
     p.referenceKernelLoop = config.getBool("gpu.reference_loop",
@@ -48,47 +48,18 @@ applyGpuOverrides(Config &config, gpu::GpuParams &p)
 }
 
 void
-applyMeeOverrides(Config &config, mee::MeeParams &p)
+applyMeeOverrides(Config &config, MeeSettings &s)
 {
-    p.aesLatency = config.getU64("mee.aes_latency", p.aesLatency);
-    p.hashLatency = config.getU64("mee.hash_latency", p.hashLatency);
-    p.bmtArity = static_cast<std::uint32_t>(
-        config.getU64("mee.bmt_arity", p.bmtArity));
-    p.macBytes = static_cast<std::uint32_t>(
-        config.getU64("mee.mac_bytes", p.macBytes));
-    p.staticSpaceHints =
-        config.getBool("mee.static_space_hints", p.staticSpaceHints);
-    p.programmingModelHints = config.getBool(
-        "mee.programming_model_hints", p.programmingModelHints);
-
-    std::uint64_t mdc = config.getU64("mee.mdc_bytes",
-                                      p.counterCache.sizeBytes);
-    p.counterCache.sizeBytes = mdc;
-    p.macCache.sizeBytes = mdc;
-    p.bmtCache.sizeBytes = mdc;
-    p.mdcPolicy = mem::policyFromName(config.getString(
-        "mee.mdc_policy", mem::policyName(p.mdcPolicy)));
-
-    p.streamDetector.trackers = static_cast<std::uint32_t>(
-        config.getU64("mee.mats", p.streamDetector.trackers));
-    p.streamDetector.chunkBytes =
-        config.getU64("mee.chunk_bytes", p.streamDetector.chunkBytes);
-    p.streamDetector.entries = static_cast<std::uint32_t>(
-        config.getU64("mee.stream_entries", p.streamDetector.entries));
-    p.streamDetector.timeoutCycles = config.getU64(
-        "mee.mat_timeout", p.streamDetector.timeoutCycles);
-    p.roDetector.entries = static_cast<std::uint32_t>(
-        config.getU64("mee.ro_entries", p.roDetector.entries));
-    p.roDetector.regionBytes =
-        config.getU64("mee.ro_region_bytes", p.roDetector.regionBytes);
-
-    // Adaptive-scheme knobs (Scheme::ShmAdaptive). The thresholds
-    // pack into one comma list: "roMinReads,streamMinReads,
-    // macOnlyMissRate".
-    p.adaptEpoch = config.getU64("mee.adapt_epoch", p.adaptEpoch);
-    std::string th = config.getString("mee.adapt_thresholds", "");
-    if (!th.empty())
-        p.adaptThresholds = parseAdaptThresholds(th);
+    s.mdcPolicy = mem::policyFromName(config.getString(
+        "mee.mdc_policy", mem::policyName(s.mdcPolicy)));
+    // Adaptive-scheme knobs (Scheme::ShmAdaptive), set only when the
+    // file names them. The thresholds pack into one comma list:
+    // "roMinReads,streamMinReads,macOnlyMissRate".
+    if (config.has("mee.adapt_epoch"))
+        s.adaptEpoch = config.getU64("mee.adapt_epoch", 0);
+    if (config.has("mee.adapt_thresholds"))
+        s.adaptThresholds = parseAdaptThresholds(
+            config.getString("mee.adapt_thresholds", ""));
 }
 
 mee::AdaptThresholds

@@ -10,13 +10,7 @@
  *   gpu.max_cycles         = 100000
  *   cache.policy           = lru   # L2: lru/fifo/random/s3fifo/sieve
  *   dram.bytes_per_cycle   = 16
- *   mee.chunk_bytes        = 4096
- *   mee.mats               = 16
- *   mee.mdc_bytes          = 2048
  *   mee.mdc_policy         = lru   # metadata caches, same value set
- *   mee.mac_bytes          = 8
- *   mee.bmt_arity          = 16
- *   mee.static_space_hints = true
  *   mee.adapt_epoch        = 50000 # SHM_adaptive reclassify period
  *   mee.adapt_thresholds   = 4,16,0.9  # roMinReads,streamMinReads,
  *                                      # macOnlyMissRate
@@ -31,8 +25,9 @@
 
 #include "common/config.hh"
 #include "common/trace.hh"
+#include "core/experiment.hh"
 #include "gpu/params.hh"
-#include "mee/engine.hh"
+#include "mee/adapt.hh"
 
 namespace shmgpu::core
 {
@@ -40,8 +35,13 @@ namespace shmgpu::core
 /** Apply "gpu.*" and "dram.*" keys to @p params. */
 void applyGpuOverrides(Config &config, gpu::GpuParams &params);
 
-/** Apply "mee.*" keys to @p params. */
-void applyMeeOverrides(Config &config, mee::MeeParams &params);
+/**
+ * Apply the "mee.*" keys (`mee.mdc_policy`, `mee.adapt_epoch`,
+ * `mee.adapt_thresholds`) to @p settings. The adaptive optionals are
+ * set only when the file names their key. Every other "mee.*" key is
+ * left unconsumed, so Config::assertConsumed rejects it.
+ */
+void applyMeeOverrides(Config &config, MeeSettings &settings);
 
 /**
  * Parse the packed "roMinReads,streamMinReads,macOnlyMissRate" form

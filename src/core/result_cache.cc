@@ -38,7 +38,6 @@ addGpuParams(Fingerprint &h, const gpu::GpuParams &p)
     h.u64(p.l2MshrMerge);
     h.u64(p.l2HitLatency);
     h.str(mem::policyName(p.l2Policy));
-    h.u64(p.icntLatency);
     h.u64(p.icnt.latency);
     h.f64(p.icnt.bytesPerCycle);
     h.u64(p.icnt.requestBytes);
@@ -79,37 +78,36 @@ addEnergyParams(Fingerprint &h, const gpu::EnergyParams &p)
 }
 
 void
-addAdaptKnobs(Fingerprint &h, std::optional<Cycle> epoch,
-              std::optional<mee::AdaptThresholds> thresholds)
-{
-    // Unset and explicitly-default must key differently from each
-    // other only in the has_value bit, never collide with a changed
-    // value.
-    h.boolean(epoch.has_value());
-    h.u64(epoch.value_or(0));
-    h.boolean(thresholds.has_value());
-    mee::AdaptThresholds th = thresholds.value_or(mee::AdaptThresholds{});
-    h.u64(th.roMinReads);
-    h.u64(th.streamMinReads);
-    h.f64(th.macOnlyMissRate);
-}
-
-void
 addRunOptions(Fingerprint &h, const RunOptions &o)
 {
     // Only the metrics-relevant members: collectAccuracy switches the
     // profiling/attribution pass on (moving the Fig. 10/11 tallies),
-    // mdcPolicy steers the metadata caches. Trace settings observe a
-    // run without perturbing it, so hashing them would only split the
-    // cache for identical results.
+    // the MEE settings steer the measured pass. Trace settings observe
+    // a run without perturbing it, so hashing them would only split
+    // the cache for identical results.
     h.boolean(o.collectAccuracy);
-    h.str(mem::policyName(o.mdcPolicy));
-    // The adaptive knobs move the SHM_adaptive controller (and are
-    // inert everywhere else, but see the always-hash note above).
-    addAdaptKnobs(h, o.adaptEpoch, o.adaptThresholds);
+    addMeeSettings(h, o.meeSettings);
 }
 
 } // namespace
+
+void
+addMeeSettings(Fingerprint &h, const MeeSettings &s)
+{
+    h.str(mem::policyName(s.mdcPolicy));
+    // Unset and explicitly-default must key differently from each
+    // other only in the has_value bit, never collide with a changed
+    // value. The adaptive knobs are inert outside SHM_adaptive, but
+    // see the always-hash note in addGpuParams.
+    h.boolean(s.adaptEpoch.has_value());
+    h.u64(s.adaptEpoch.value_or(0));
+    h.boolean(s.adaptThresholds.has_value());
+    const mee::AdaptThresholds th =
+        s.adaptThresholds.value_or(mee::AdaptThresholds{});
+    h.u64(th.roMinReads);
+    h.u64(th.streamMinReads);
+    h.f64(th.macOnlyMissRate);
+}
 
 std::uint64_t
 cellKey(const gpu::GpuParams &gpu, const gpu::EnergyParams &energy,
@@ -130,9 +128,7 @@ cellKey(const gpu::GpuParams &gpu, const gpu::EnergyParams &energy,
 
 std::uint64_t
 scenarioCellKey(const gpu::GpuParams &gpu, const gpu::EnergyParams &energy,
-                bool with_solo, mem::PolicyKind mdc_policy,
-                std::optional<Cycle> adapt_epoch,
-                std::optional<mee::AdaptThresholds> adapt_thresholds,
+                bool with_solo, const MeeSettings &mee_settings,
                 schemes::Scheme scheme,
                 const workload::ScenarioSpec &scenario,
                 const std::string &code_version)
@@ -146,8 +142,7 @@ scenarioCellKey(const gpu::GpuParams &gpu, const gpu::EnergyParams &energy,
     addGpuParams(h, gpu);
     addEnergyParams(h, energy);
     h.boolean(with_solo);
-    h.str(mem::policyName(mdc_policy));
-    addAdaptKnobs(h, adapt_epoch, adapt_thresholds);
+    addMeeSettings(h, mee_settings);
     h.str(schemes::schemeName(scheme));
     h.u64(workload::contentHash(scenario));
     return h.value();

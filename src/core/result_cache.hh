@@ -10,9 +10,9 @@
  *   - the full effective gpu::GpuParams (every field, nested
  *     interconnect/DRAM structures included) and gpu::EnergyParams,
  *   - the metrics-relevant core::RunOptions fields (collectAccuracy
- *     changes the attribution tallies; mdcPolicy steers the metadata
- *     caches; trace options are excluded — tracing never changes
- *     simulated results),
+ *     changes the attribution tallies; the MeeSettings record steers
+ *     the metadata caches and the adaptive controller; trace options
+ *     are excluded — tracing never changes simulated results),
  *   - the scheme (which determines mee::MeeParams via the registry),
  *   - workload::contentHash of the spec (not its name: regenerated
  *     parameter sweeps reusing a name cannot alias),
@@ -50,6 +50,11 @@
 #include "gpu/params.hh"
 #include "workload/scenario.hh"
 
+namespace shmgpu
+{
+class Fingerprint;
+}
+
 namespace shmgpu::core
 {
 
@@ -79,23 +84,27 @@ std::uint64_t cellKey(const gpu::GpuParams &gpu,
  * replaced by workload::contentHash(scenario) (which folds in every
  * tenant's workload, arrivals, share policy, quantum, MDC-flush flag
  * and key seed), the metrics-relevant scenario run options
- * (withSolo adds the solo-reference fields to the cell; mdcPolicy
- * steers the metadata caches; the adaptive knobs move the
- * SHM_adaptive controller), and a "scenario" domain tag so a
+ * (withSolo adds the solo-reference fields to the cell; the
+ * MeeSettings record steers the metadata caches and the SHM_adaptive
+ * controller), and a "scenario" domain tag so a
  * scenario cell can never collide with a single-workload cell of the
  * same configuration.
  */
 std::uint64_t scenarioCellKey(const gpu::GpuParams &gpu,
                               const gpu::EnergyParams &energy,
                               bool with_solo,
-                              mem::PolicyKind mdc_policy,
-                              std::optional<Cycle> adapt_epoch,
-                              std::optional<mee::AdaptThresholds>
-                                  adapt_thresholds,
+                              const MeeSettings &mee_settings,
                               schemes::Scheme scheme,
                               const workload::ScenarioSpec &scenario,
                               const std::string &code_version =
                                   codeVersion());
+
+/**
+ * Feed @p settings into @p h: the one fingerprint of the MEE settings
+ * record, shared by cellKey, scenarioCellKey and the scenario solo
+ * memo.
+ */
+void addMeeSettings(Fingerprint &h, const MeeSettings &settings);
 
 /** One-file-per-cell persistent result store (see file comment). */
 class ResultCache

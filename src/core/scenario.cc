@@ -30,23 +30,13 @@ accuracyOf(std::uint64_t correct, std::uint64_t mispredicts)
 /** The memoization key of one solo reference. */
 std::uint64_t
 soloKey(schemes::Scheme scheme, const workload::WorkloadSpec &spec,
-        std::uint64_t key_seed, mem::PolicyKind mdc_policy,
-        std::optional<Cycle> adapt_epoch,
-        std::optional<mee::AdaptThresholds> adapt_thresholds)
+        std::uint64_t key_seed, const MeeSettings &settings)
 {
     Fingerprint h;
     h.str(schemes::schemeName(scheme));
     h.u64(workload::contentHash(spec));
     h.u64(key_seed);
-    h.str(mem::policyName(mdc_policy));
-    h.boolean(adapt_epoch.has_value());
-    h.u64(adapt_epoch.value_or(0));
-    h.boolean(adapt_thresholds.has_value());
-    mee::AdaptThresholds th =
-        adapt_thresholds.value_or(mee::AdaptThresholds{});
-    h.u64(th.roMinReads);
-    h.u64(th.streamMinReads);
-    h.f64(th.macOnlyMissRate);
+    addMeeSettings(h, settings);
     return h.value();
 }
 
@@ -79,18 +69,11 @@ collectScenarioProfile(const gpu::GpuParams &gpu_params,
 gpu::TenantRunMetrics
 simulateSolo(const gpu::GpuParams &gpu_params, schemes::Scheme scheme,
              const workload::WorkloadSpec &spec, std::uint64_t key_seed,
-             mem::PolicyKind mdc_policy,
-             std::optional<Cycle> adapt_epoch,
-             std::optional<mee::AdaptThresholds> adapt_thresholds)
+             const MeeSettings &settings)
 {
     workload::ScenarioSpec solo = workload::singleTenantScenario(spec);
     solo.keySeed = key_seed;
-    mee::MeeParams mee_params = schemes::makeMeeParams(scheme);
-    mee_params.mdcPolicy = mdc_policy;
-    if (adapt_epoch)
-        mee_params.adaptEpoch = *adapt_epoch;
-    if (adapt_thresholds)
-        mee_params.adaptThresholds = *adapt_thresholds;
+    const mee::MeeParams mee_params = meeParamsFor(scheme, settings);
     gpu::GpuSimulator sim(gpu_params, mee_params, solo);
     detect::AccessProfile profile =
         collectScenarioProfile(gpu_params, mee_params, solo);
@@ -112,13 +95,9 @@ const gpu::TenantRunMetrics &
 ScenarioSoloCache::soloFor(schemes::Scheme scheme,
                            const workload::WorkloadSpec &spec,
                            std::uint64_t key_seed,
-                           mem::PolicyKind mdc_policy,
-                           std::optional<Cycle> adapt_epoch,
-                           std::optional<mee::AdaptThresholds>
-                               adapt_thresholds)
+                           const MeeSettings &settings)
 {
-    const std::uint64_t key = soloKey(scheme, spec, key_seed, mdc_policy,
-                                      adapt_epoch, adapt_thresholds);
+    const std::uint64_t key = soloKey(scheme, spec, key_seed, settings);
     Entry *entry = nullptr;
     {
         std::lock_guard<std::mutex> lock(mutex);
@@ -131,8 +110,7 @@ ScenarioSoloCache::soloFor(schemes::Scheme scheme,
     // threads needing this reference (same shape as BaselineCache).
     std::call_once(entry->once, [&] {
         entry->metrics =
-            simulateSolo(gpuConfig, scheme, spec, key_seed, mdc_policy,
-                         adapt_epoch, adapt_thresholds);
+            simulateSolo(gpuConfig, scheme, spec, key_seed, settings);
     });
     return entry->metrics;
 }
@@ -152,12 +130,8 @@ runScenarioExperiment(const gpu::GpuParams &gpu_params,
     r.quantumCycles = scenario.quantumCycles;
     r.flushMdcOnSwitch = scenario.flushMdcOnSwitch;
 
-    mee::MeeParams mee_params = schemes::makeMeeParams(scheme);
-    mee_params.mdcPolicy = options.mdcPolicy;
-    if (options.adaptEpoch)
-        mee_params.adaptEpoch = *options.adaptEpoch;
-    if (options.adaptThresholds)
-        mee_params.adaptThresholds = *options.adaptThresholds;
+    const mee::MeeParams mee_params =
+        meeParamsFor(scheme, options.meeSettings);
     gpu::GpuSimulator sim(gpu_params, mee_params, scenario);
 
     // Detector accuracy is the scenario headline, so attribution is
@@ -209,9 +183,7 @@ runScenarioExperiment(const gpu::GpuParams &gpu_params,
         if (options.withSolo) {
             const gpu::TenantRunMetrics &solo =
                 solos->soloFor(scheme, scenario.tenants[i].workload,
-                               scenario.keySeed, options.mdcPolicy,
-                               options.adaptEpoch,
-                               options.adaptThresholds);
+                               scenario.keySeed, options.meeSettings);
             t.soloIpc = solo.ipc;
             t.soloMdcHitRate = solo.mdcHitRate;
             t.soloRoAccuracy =
@@ -278,9 +250,7 @@ runScenarioCells(const gpu::GpuParams &gpu_params,
                 bool hit = false;
                 if (options.cache) {
                     key = scenarioCellKey(gpu_params, energy,
-                                          run.withSolo, run.mdcPolicy,
-                                          run.adaptEpoch,
-                                          run.adaptThresholds,
+                                          run.withSolo, run.meeSettings,
                                           cells[i].scheme,
                                           *cells[i].scenario,
                                           code_version);

@@ -53,7 +53,7 @@ struct ScenarioTenantResult
     gpu::TenantRunMetrics shared;
 
     /** @{ The same workload run alone on the whole GPU (same scheme,
-     *  key seed and MDC policy): the interference-free reference.
+     *  key seed and MEE settings): the interference-free reference.
      *  Zero when the experiment ran without solo passes. */
     double soloIpc = 0;
     double soloMdcHitRate = 0;
@@ -94,7 +94,7 @@ struct ScenarioExperimentResult
 /**
  * Memoized solo references shared across scenario cells: one
  * whole-GPU single-tenant simulation per distinct (scheme, workload
- * content hash, key seed, MDC policy), simulated exactly once even
+ * content hash, key seed, MEE settings), simulated exactly once even
  * under concurrent lookups (same call_once discipline as
  * BaselineCache). A quantum sweep over one scenario re-uses its
  * tenants' solo runs across every cell.
@@ -108,10 +108,18 @@ class ScenarioSoloCache
      *  first use. Valid for the cache's lifetime. */
     const gpu::TenantRunMetrics &
     soloFor(schemes::Scheme scheme, const workload::WorkloadSpec &spec,
-            std::uint64_t key_seed, mem::PolicyKind mdc_policy,
-            std::optional<Cycle> adapt_epoch = std::nullopt,
-            std::optional<mee::AdaptThresholds> adapt_thresholds =
-                std::nullopt);
+            std::uint64_t key_seed, const MeeSettings &settings);
+
+    /** soloFor with only the MDC policy set (scheme-default adaptive
+     *  controls). */
+    const gpu::TenantRunMetrics &
+    soloFor(schemes::Scheme scheme, const workload::WorkloadSpec &spec,
+            std::uint64_t key_seed, mem::PolicyKind mdc_policy)
+    {
+        MeeSettings settings;
+        settings.mdcPolicy = mdc_policy;
+        return soloFor(scheme, spec, key_seed, settings);
+    }
 
     const gpu::GpuParams &gpuParams() const { return gpuConfig; }
 
@@ -135,14 +143,9 @@ struct ScenarioRunOptions
      *  by timing benchmarks). */
     bool withSolo = true;
 
-    /** Replacement policy for the MEE metadata caches (matches
-     *  RunOptions::mdcPolicy). */
-    mem::PolicyKind mdcPolicy = mem::PolicyKind::Lru;
-
-    /** Adaptive-scheme controls (match RunOptions::adaptEpoch /
-     *  adaptThresholds; unset keeps the scheme defaults). */
-    std::optional<Cycle> adaptEpoch;
-    std::optional<mee::AdaptThresholds> adaptThresholds;
+    /** MEE settings of the shared and the solo runs (as
+     *  RunOptions::meeSettings). */
+    MeeSettings meeSettings;
 
     /** Optional shared solo-reference store (not owned; must outlive
      *  the call). Without one, solo runs are memoized only within the

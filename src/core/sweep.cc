@@ -268,7 +268,7 @@ runPolicyGrid(const gpu::GpuParams &base,
         gpu::GpuParams gp = base;
         gp.l2Policy = policy;
         SweepOptions opts = options;
-        opts.run.mdcPolicy = policy;
+        opts.run.meeSettings.mdcPolicy = policy;
         SweepRunner runner(gp);
         auto results = runner.run(schemes, workloads, opts);
         all.insert(all.end(), std::make_move_iterator(results.begin()),

@@ -37,9 +37,8 @@ struct GpuParams
     mem::PolicyKind l2Policy = mem::PolicyKind::Lru;
     /** @} */
 
-    /** Interconnect latency, each direction. */
-    Cycle icntLatency = 20;
-    /** Crossbar configuration (latency mirrors icntLatency). */
+    /** Crossbar configuration: latency each direction
+     *  (`gpu.icnt_latency`), bandwidth and request size. */
     InterconnectParams icnt;
 
     /** Outstanding-load window per SM (latency tolerance). */

@@ -54,11 +54,4 @@ presetNames()
     return names;
 }
 
-GpuParams &
-applyCachePolicy(GpuParams &params, mem::PolicyKind policy)
-{
-    params.l2Policy = policy;
-    return params;
-}
-
 } // namespace shmgpu::gpu

@@ -37,14 +37,6 @@ GpuParams presetByName(const std::string &name);
 /** Names accepted by presetByName. */
 const std::vector<std::string> &presetNames();
 
-/**
- * Switch @p params to replacement policy @p policy (currently the L2
- * banks; the MEE metadata caches take the same kind via
- * mee::MeeParams::mdcPolicy). Returns @p params for chaining, e.g.
- * `applyCachePolicy(testConfig(), mem::PolicyKind::Sieve)`.
- */
-GpuParams &applyCachePolicy(GpuParams &params, mem::PolicyKind policy);
-
 } // namespace shmgpu::gpu
 
 #endif // SHMGPU_GPU_PRESETS_HH

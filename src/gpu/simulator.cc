@@ -11,14 +11,6 @@ namespace shmgpu::gpu
 namespace
 {
 
-InterconnectParams
-makeIcntParams(const GpuParams &gp)
-{
-    InterconnectParams p = gp.icnt;
-    p.latency = gp.icntLatency;
-    return p;
-}
-
 /** Package one SM memory op as an explicit transaction message. */
 mem::Transaction
 makeTxn(const workload::TraceOp &op, const mem::PartitionAddr &pa,
@@ -53,7 +45,7 @@ GpuSimulator::GpuSimulator(const GpuParams &gpu_params,
     : gpuConfig(gpu_params), meeConfig(mee_params), spec(&workload),
       bufferBases(workload::layoutBuffers(workload)),
       map(gpu_params.numPartitions, gpu_params.interleaveBytes),
-      icnt(makeIcntParams(gpu_params), gpu_params.numPartitions)
+      icnt(gpu_params.icnt, gpu_params.numPartitions)
 {
     workload::validateSpec(workload);
     Addr footprint = workload::footprintBytes(workload);
@@ -69,7 +61,7 @@ GpuSimulator::GpuSimulator(const GpuParams &gpu_params,
                            const workload::Trace &input_trace)
     : gpuConfig(gpu_params), meeConfig(mee_params), trace(&input_trace),
       map(gpu_params.numPartitions, gpu_params.interleaveBytes),
-      icnt(makeIcntParams(gpu_params), gpu_params.numPartitions)
+      icnt(gpu_params.icnt, gpu_params.numPartitions)
 {
     shm_assert(trace->numSms == gpuConfig.numSms,
                "trace was recorded for {} SMs, GPU has {}",
@@ -83,7 +75,7 @@ GpuSimulator::GpuSimulator(const GpuParams &gpu_params,
     : gpuConfig(clampForScenario(gpu_params)), meeConfig(mee_params),
       scenario(&scenario_spec),
       map(gpu_params.numPartitions, gpu_params.interleaveBytes),
-      icnt(makeIcntParams(gpu_params), gpu_params.numPartitions)
+      icnt(gpu_params.icnt, gpu_params.numPartitions)
 {
     workload::validateScenario(scenario_spec);
     init();

@@ -57,8 +57,6 @@ struct MeeParams
     bool dualGranularityMac = false;
     /** Allow spilling metadata into the L2 victim cache (SHM_vL2). */
     bool victimL2 = false;
-    /** Unlimited MATs + profile-primed predictors (SHM_upper_bound). */
-    bool oracleDetectors = false;
     /**
      * Treat constant/texture/instruction spaces as statically
      * read-only (Table I): no freshness state regardless of the
@@ -102,8 +100,7 @@ struct MeeParams
     detect::ReadOnlyDetectorParams roDetector;
     detect::StreamingDetectorParams streamDetector;
 
-    Cycle hashLatency = 40; //!< MAC/hash engine latency (Table VI)
-    Cycle aesLatency = 40;  //!< pipelined AES latency
+    Cycle aesLatency = 40; //!< pipelined AES latency (Table VI)
     Cycle mdcHitLatency = 2;
 
     /**

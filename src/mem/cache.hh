@@ -42,7 +42,8 @@ struct CacheParams
      * When false, a full-sector write miss validates the sector in
      * place without fetching it from DRAM (GPU-style write-validate).
      * When true, a write miss must first fetch the sector (read-modify-
-     * write semantics, used by nothing today but kept for generality).
+     * write semantics: the MEE's counter and BMT caches, whose updates
+     * modify part of a fetched block).
      */
     bool fetchOnWriteMiss = false;
     /** Line replacement policy (see mem/replacement.hh). */

@@ -14,7 +14,9 @@
  *       Record the workload's per-SM access trace to a file.
  *
  *   shmgpu trace run --in FILE [--scheme NAME] [--cycles N]
- *       Replay a recorded trace through the full simulator.
+ *       Replay a recorded trace through the full simulator. Takes the
+ *       same GPU and MEE flags as run (--gpu, --policy, --overrides,
+ *       --adapt-epoch, --adapt-thresholds).
  *
  *   shmgpu trace info --in FILE
  *       Print a trace file's header and per-kernel op counts.
@@ -80,11 +82,6 @@ namespace
 {
 
 /**
- * Minimal --flag=value / --flag value parser. Every key a subcommand
- * reads is recorded, so assertConsumed() can reject the flags it
- * never read — as Config::assertConsumed does for override keys.
- */
-/**
  * The one parser for numeric flag values: @p text must be a whole
  * decimal number of type T — no trailing characters, no sign on
  * unsigned types (so "-1" cannot wrap), in range, finite for doubles.
@@ -105,6 +102,13 @@ parseNumber(const std::string &flag, const std::string &text)
     return value;
 }
 
+/**
+ * Minimal --flag=value / --flag value parser. Every key a subcommand
+ * reads is recorded, so assertConsumed() can reject the flags it
+ * never read — as Config::assertConsumed does for override keys.
+ * Each subcommand reads all its flags and calls assertConsumed()
+ * before its first simulation.
+ */
 class Args
 {
   public:
@@ -194,7 +198,9 @@ usage(int rc = 2)
               " [--trace DIR]\n"
               "  shmgpu trace record --workload NAME --out FILE"
               " [--sms N]\n"
-              "  shmgpu trace run --in FILE [--scheme SHM] [--cycles N]\n"
+              "  shmgpu trace run --in FILE [--scheme SHM] [--cycles N]"
+              " [--gpu G] [--policy P] [--overrides CFG]"
+              " [--adapt-epoch N] [--adapt-thresholds R,S,M]\n"
               "  shmgpu trace info --in FILE\n"
               "  shmgpu trace-info --in TRACE.json\n"
               "  shmgpu bench-self [--reps N] [--out FILE]");
@@ -213,8 +219,9 @@ printSummary(const core::ExperimentResult &r)
 }
 
 int
-cmdList(const Args &)
+cmdList(const Args &args)
 {
+    args.assertConsumed("list");
     std::puts("workloads (Table VII):");
     for (const auto &w : workload::allWorkloads())
         std::printf("  %-14s %-10s util %2.0f-%2.0f%%  spaces: %s\n",
@@ -231,53 +238,42 @@ cmdList(const Args &)
     return 0;
 }
 
+/**
+ * The GPU parameters and MEE settings (@p mee) the shared flags and
+ * an --overrides file select; the file's trace.* keys go to
+ * @p trace_params when given.
+ */
 gpu::GpuParams
-gpuParamsFrom(const Args &args, trace::TraceParams *trace_params = nullptr,
-              mem::PolicyKind *mdc_policy = nullptr,
-              std::optional<Cycle> *adapt_epoch = nullptr,
-              std::optional<mee::AdaptThresholds> *adapt_thresholds =
-                  nullptr)
+gpuParamsFrom(const Args &args, core::MeeSettings &mee,
+              trace::TraceParams *trace_params = nullptr)
 {
     gpu::GpuParams gp = gpu::presetByName(args.get("gpu", "turing"));
     std::string overrides = args.get("overrides");
     if (!overrides.empty()) {
-        mee::MeeParams scratch; // GPU keys (+ mdc policy) in this path
         trace::TraceParams trace_scratch;
         Config config = Config::fromFile(overrides);
-        // Presence-tested before applyMeeOverrides consumes them: only
-        // keys the file actually sets become RunOptions overrides.
-        bool had_adapt_epoch = config.has("mee.adapt_epoch");
-        bool had_adapt_thresholds = config.has("mee.adapt_thresholds");
         core::applyGpuOverrides(config, gp);
-        core::applyMeeOverrides(config, scratch);
+        core::applyMeeOverrides(config, mee);
         core::applyTraceOverrides(
             config, trace_params ? *trace_params : trace_scratch);
         core::applyCryptoOverrides(config);
         config.assertConsumed();
-        if (mdc_policy)
-            *mdc_policy = scratch.mdcPolicy;
-        if (adapt_epoch && had_adapt_epoch)
-            *adapt_epoch = scratch.adaptEpoch;
-        if (adapt_thresholds && had_adapt_thresholds)
-            *adapt_thresholds = scratch.adaptThresholds;
     }
     // --policy switches L2 and metadata caches together, overriding
     // any cache.policy / mee.mdc_policy from the file.
     std::string policy = args.get("policy");
     if (!policy.empty()) {
-        mem::PolicyKind kind = mem::policyFromName(policy);
-        gpu::applyCachePolicy(gp, kind);
-        if (mdc_policy)
-            *mdc_policy = kind;
+        gp.l2Policy = mem::policyFromName(policy);
+        mee.mdcPolicy = gp.l2Policy;
     }
     // --adapt-epoch / --adapt-thresholds win over the file, like
     // --policy above.
     std::string epoch_arg = args.get("adapt-epoch");
-    if (!epoch_arg.empty() && adapt_epoch)
-        *adapt_epoch = parseNumber<Cycle>("adapt-epoch", epoch_arg);
+    if (!epoch_arg.empty())
+        mee.adaptEpoch = parseNumber<Cycle>("adapt-epoch", epoch_arg);
     std::string th_arg = args.get("adapt-thresholds");
-    if (!th_arg.empty() && adapt_thresholds)
-        *adapt_thresholds = core::parseAdaptThresholds(th_arg);
+    if (!th_arg.empty())
+        mee.adaptThresholds = core::parseAdaptThresholds(th_arg);
     std::string cycles = args.get("cycles");
     if (!cycles.empty())
         gp.maxCyclesPerKernel = parseNumber<Cycle>("cycles", cycles);
@@ -344,12 +340,14 @@ cmdRunScenario(const Args &args)
     auto scheme = schemes::schemeFromName(args.get("scheme", "SHM"));
 
     core::ScenarioRunOptions opts;
-    gpu::GpuParams gp = gpuParamsFrom(args, &opts.traceParams,
-                                      &opts.mdcPolicy, &opts.adaptEpoch,
-                                      &opts.adaptThresholds);
+    gpu::GpuParams gp =
+        gpuParamsFrom(args, opts.meeSettings, &opts.traceParams);
     opts.withSolo = !args.has("no-solo");
     opts.tracePath = args.get("trace");
     opts.traceTextPath = args.get("trace-text");
+    const std::string json_path = args.get("json");
+    const std::string stats_path = args.get("stats");
+    args.assertConsumed("run");
 
     auto r = core::runScenarioExperiment(gp, scheme, scn, opts);
     if (!opts.tracePath.empty())
@@ -359,27 +357,21 @@ cmdRunScenario(const Args &args)
     // --json gets the structured scenario result (per-tenant metrics
     // and interference deltas); --stats the full simulator stats tree
     // of a fresh identical run (the determinism byte-compare vehicle).
-    if (args.has("json")) {
-        std::ofstream out(args.get("json"), std::ios::binary);
+    if (!json_path.empty()) {
+        std::ofstream out(json_path, std::ios::binary);
         if (!out)
-            shm_fatal("cannot open '{}' for writing", args.get("json"));
+            shm_fatal("cannot open '{}' for writing", json_path);
         core::scenarioResultToJson(r).write(out, 2);
         out << "\n";
-        std::printf("scenario json written to %s\n",
-                    args.get("json").c_str());
+        std::printf("scenario json written to %s\n", json_path.c_str());
     }
-    if (args.has("stats")) {
-        mee::MeeParams mp = schemes::makeMeeParams(scheme);
-        mp.mdcPolicy = opts.mdcPolicy;
-        if (opts.adaptEpoch)
-            mp.adaptEpoch = *opts.adaptEpoch;
-        if (opts.adaptThresholds)
-            mp.adaptThresholds = *opts.adaptThresholds;
-        gpu::GpuSimulator sim(gpuParamsFrom(args), mp, scn);
+    if (!stats_path.empty()) {
+        gpu::GpuSimulator sim(
+            gp, core::meeParamsFor(scheme, opts.meeSettings), scn);
         sim.runScenario();
-        std::ofstream out(args.get("stats"));
+        std::ofstream out(stats_path);
         sim.statsRoot().dump(out);
-        std::printf("stats written to %s\n", args.get("stats").c_str());
+        std::printf("stats written to %s\n", stats_path.c_str());
     }
     return 0;
 }
@@ -403,13 +395,16 @@ cmdRun(const Args &args)
     auto scheme = schemes::schemeFromName(args.get("scheme", "SHM"));
 
     core::RunOptions opts;
-    gpu::GpuParams gp = gpuParamsFrom(args, &opts.traceParams,
-                                      &opts.mdcPolicy, &opts.adaptEpoch,
-                                      &opts.adaptThresholds);
-    core::Experiment exp(gp);
+    gpu::GpuParams gp =
+        gpuParamsFrom(args, opts.meeSettings, &opts.traceParams);
     opts.collectAccuracy = args.has("accuracy");
     opts.tracePath = args.get("trace");
     opts.traceTextPath = args.get("trace-text");
+    const std::string stats_path = args.get("stats");
+    const std::string json_path = args.get("json");
+    args.assertConsumed("run");
+
+    core::Experiment exp(gp);
     auto r = exp.run(scheme, w, opts);
     if (!opts.tracePath.empty())
         std::printf("trace written to %s\n", opts.tracePath.c_str());
@@ -431,27 +426,20 @@ cmdRun(const Args &args)
     }
 
     // Stats dumps run the simulation once more with a retained tree.
-    if (args.has("stats") || args.has("json")) {
-        mee::MeeParams mp = schemes::makeMeeParams(scheme);
-        mp.mdcPolicy = opts.mdcPolicy;
-        if (opts.adaptEpoch)
-            mp.adaptEpoch = *opts.adaptEpoch;
-        if (opts.adaptThresholds)
-            mp.adaptThresholds = *opts.adaptThresholds;
-        gpu::GpuSimulator sim(gpuParamsFrom(args), mp, w);
+    if (!stats_path.empty() || !json_path.empty()) {
+        gpu::GpuSimulator sim(
+            gp, core::meeParamsFor(scheme, opts.meeSettings), w);
         sim.run();
-        if (args.has("stats")) {
-            std::ofstream out(args.get("stats"));
+        if (!stats_path.empty()) {
+            std::ofstream out(stats_path);
             sim.statsRoot().dump(out);
-            std::printf("stats written to %s\n",
-                        args.get("stats").c_str());
+            std::printf("stats written to %s\n", stats_path.c_str());
         }
-        if (args.has("json")) {
-            std::ofstream out(args.get("json"));
+        if (!json_path.empty()) {
+            std::ofstream out(json_path);
             sim.statsRoot().dumpJson(out);
             out << "\n";
-            std::printf("json stats written to %s\n",
-                        args.get("json").c_str());
+            std::printf("json stats written to %s\n", json_path.c_str());
         }
     }
     return 0;
@@ -564,16 +552,18 @@ cmdSweepScenario(const Args &args)
     for (unsigned n : tenant_counts)
         shm_assert(n > 0, "--tenants needs positive counts");
 
-    if (args.has("quiet"))
+    const bool quiet = args.has("quiet");
+    if (quiet)
         log_detail::setVerbose(false);
 
     core::ScenarioSweepOptions opts;
     opts.jobs = args.number<unsigned>("jobs", 1);
     opts.run.withSolo = !args.has("no-solo");
-    gpu::GpuParams gp = gpuParamsFrom(args, &opts.run.traceParams,
-                                      &opts.run.mdcPolicy,
-                                      &opts.run.adaptEpoch,
-                                      &opts.run.adaptThresholds);
+    gpu::GpuParams gp =
+        gpuParamsFrom(args, opts.run.meeSettings, &opts.run.traceParams);
+    const std::string results_dir = args.get("results-dir");
+    const std::string out = args.get("out");
+    args.assertConsumed("sweep");
 
     // Owned variant storage, fully built before cells take pointers.
     std::vector<workload::ScenarioSpec> variants;
@@ -594,7 +584,6 @@ cmdSweepScenario(const Args &args)
             cells.push_back({scheme, &v});
 
     std::unique_ptr<core::ResultCache> cache;
-    std::string results_dir = args.get("results-dir");
     if (!results_dir.empty()) {
         cache = std::make_unique<core::ResultCache>(results_dir);
         opts.cache = cache.get();
@@ -604,7 +593,7 @@ cmdSweepScenario(const Args &args)
 
     auto results = core::runScenarioCells(gp, cells, opts);
 
-    if (!args.has("quiet")) {
+    if (!quiet) {
         for (const auto &r : results)
             printScenario(r);
     }
@@ -612,7 +601,6 @@ cmdSweepScenario(const Args &args)
         std::printf("cells: %zu simulated, %zu loaded from %s\n",
                     tally.simulated, tally.cached, results_dir.c_str());
 
-    std::string out = args.get("out");
     if (!out.empty()) {
         std::ofstream os(out, std::ios::binary);
         if (!os)
@@ -665,14 +653,12 @@ cmdSweep(const Args &args)
     sweep_opts.jobs = args.number<unsigned>("jobs", 1);
     sweep_opts.run.collectAccuracy = args.has("accuracy");
     sweep_opts.run.traceDir = args.get("trace");
-
-    if (args.has("quiet"))
+    const bool quiet = args.has("quiet");
+    if (quiet)
         log_detail::setVerbose(false);
 
-    gpu::GpuParams gp = gpuParamsFrom(args, &sweep_opts.run.traceParams,
-                                      &sweep_opts.run.mdcPolicy,
-                                      &sweep_opts.run.adaptEpoch,
-                                      &sweep_opts.run.adaptThresholds);
+    gpu::GpuParams gp = gpuParamsFrom(args, sweep_opts.run.meeSettings,
+                                      &sweep_opts.run.traceParams);
 
     // --adapt-epochs: epoch-major extra axis for the adaptive scheme.
     // Each value fingerprints its own cache cells, so epoch grids are
@@ -680,53 +666,53 @@ cmdSweep(const Args &args)
     std::vector<std::optional<Cycle>> adapt_epochs;
     std::string epoch_list = args.get("adapt-epochs");
     if (epoch_list.empty()) {
-        adapt_epochs.push_back(sweep_opts.run.adaptEpoch);
+        adapt_epochs.push_back(sweep_opts.run.meeSettings.adaptEpoch);
     } else {
         for (const auto &tok : splitList(epoch_list))
             adapt_epochs.push_back(parseNumber<Cycle>("adapt-epochs", tok));
     }
 
+    // Policy-major third grid axis (--policies).
+    std::vector<mem::PolicyKind> policies;
+    std::string policy_list = args.get("policies");
+    if (policy_list == "all") {
+        policies = mem::allPolicies();
+    } else {
+        for (const auto &name : splitList(policy_list))
+            policies.push_back(mem::policyFromName(name));
+    }
+    if (!policy_list.empty() && policies.empty())
+        shm_fatal("sweep selects no policies");
+
+    const std::string results_dir = args.get("results-dir");
+    if (args.has("resume") && results_dir.empty())
+        shm_fatal("--resume needs --results-dir DIR (the cell store "
+                  "the interrupted sweep wrote)");
+    std::string cancel_after = args.get("cancel-after");
+    if (!cancel_after.empty())
+        sweep_opts.cancelAfter =
+            parseNumber<std::size_t>("cancel-after", cancel_after);
+    const std::string out = args.get("out");
+    args.assertConsumed("sweep");
+
     // Persistent cell store: cells load instead of simulating on key
     // hits and flush to disk the moment they finish, which is what
     // makes interrupted sweeps resumable.
     std::unique_ptr<core::ResultCache> cache;
-    std::string results_dir = args.get("results-dir");
-    if (args.has("resume") && results_dir.empty())
-        shm_fatal("--resume needs --results-dir DIR (the cell store "
-                  "the interrupted sweep wrote)");
     if (!results_dir.empty()) {
         cache = std::make_unique<core::ResultCache>(results_dir);
         sweep_opts.cache = cache.get();
     }
     core::SweepTally tally;
     sweep_opts.tally = &tally;
-    std::string cancel_after = args.get("cancel-after");
-    if (!cancel_after.empty())
-        sweep_opts.cancelAfter =
-            parseNumber<std::size_t>("cancel-after", cancel_after);
-
-    // Read before running: a cancelled sweep returns early, and a flag
-    // left unread would then be rejected as unknown.
-    const std::string out = args.get("out");
 
     std::vector<core::ExperimentResult> results;
-    std::string policy_list = args.get("policies");
     try {
-        if (!policy_list.empty()) {
-            // Policy-major third grid axis; a fresh runner (and
-            // baseline) per policy, since the L2 policy moves the
-            // baseline IPC.
-            std::vector<mem::PolicyKind> policies;
-            if (policy_list == "all") {
-                policies = mem::allPolicies();
-            } else {
-                for (const auto &name : splitList(policy_list))
-                    policies.push_back(mem::policyFromName(name));
-            }
-            if (policies.empty())
-                shm_fatal("sweep selects no policies");
+        if (!policies.empty()) {
+            // A fresh runner (and baseline) per policy, since the L2
+            // policy moves the baseline IPC.
             for (auto epoch : adapt_epochs) {
-                sweep_opts.run.adaptEpoch = epoch;
+                sweep_opts.run.meeSettings.adaptEpoch = epoch;
                 auto part = core::runPolicyGrid(gp, policies, designs,
                                                 workloads, sweep_opts);
                 results.insert(results.end(), part.begin(), part.end());
@@ -736,7 +722,7 @@ cmdSweep(const Args &args)
             // epoch-independent and shared.
             core::SweepRunner runner(gp);
             for (auto epoch : adapt_epochs) {
-                sweep_opts.run.adaptEpoch = epoch;
+                sweep_opts.run.meeSettings.adaptEpoch = epoch;
                 auto part = runner.run(designs, workloads, sweep_opts);
                 results.insert(results.end(), part.begin(), part.end());
             }
@@ -760,7 +746,7 @@ cmdSweep(const Args &args)
         return 3;
     }
 
-    if (!args.has("quiet")) {
+    if (!quiet) {
         for (const auto &r : results)
             printSummary(r);
         std::map<std::string, std::vector<double>> by_scheme;
@@ -894,6 +880,7 @@ int
 cmdTraceInfo(const Args &args)
 {
     std::string in = args.get("in");
+    args.assertConsumed("trace-info");
     if (in.empty())
         shm_fatal("trace-info needs --in FILE (a --trace export)");
     json::Value doc = json::Value::parseFile(in);
@@ -993,13 +980,15 @@ cmdTraceInfo(const Args &args)
 int
 cmdTrace(const Args &args, const std::string &sub)
 {
+    const std::string command = "trace " + sub;
     if (sub == "record") {
         std::string workload_name = args.get("workload");
         std::string out = args.get("out");
+        std::uint32_t sms = args.number<std::uint32_t>("sms", 30);
+        args.assertConsumed(command);
         if (workload_name.empty() || out.empty())
             shm_fatal("trace record needs --workload and --out");
         const auto &w = workload::findWorkload(workload_name);
-        std::uint32_t sms = args.number<std::uint32_t>("sms", 30);
         workload::Trace trace = workload::generateTrace(w, sms);
         workload::writeTrace(trace, out);
         std::printf("recorded %llu ops over %zu kernels (%u SMs) "
@@ -1009,7 +998,9 @@ cmdTrace(const Args &args, const std::string &sub)
         return 0;
     }
     if (sub == "info") {
-        workload::Trace trace = workload::readTrace(args.get("in"));
+        std::string in = args.get("in");
+        args.assertConsumed(command);
+        workload::Trace trace = workload::readTrace(in);
         std::printf("SMs: %u, kernels: %zu, total ops: %llu\n",
                     trace.numSms, trace.kernels.size(),
                     static_cast<unsigned long long>(trace.totalOps()));
@@ -1020,12 +1011,15 @@ cmdTrace(const Args &args, const std::string &sub)
         return 0;
     }
     if (sub == "run") {
-        workload::Trace trace = workload::readTrace(args.get("in"));
+        std::string in = args.get("in");
         auto scheme = schemes::schemeFromName(args.get("scheme", "SHM"));
-        gpu::GpuParams gp = gpuParamsFrom(args);
+        core::MeeSettings mee;
+        gpu::GpuParams gp = gpuParamsFrom(args, mee);
+        args.assertConsumed(command);
+        workload::Trace trace = workload::readTrace(in);
         gp.numSms = trace.numSms;
 
-        gpu::GpuSimulator sim(gp, schemes::makeMeeParams(scheme), trace);
+        gpu::GpuSimulator sim(gp, core::meeParamsFor(scheme, mee), trace);
         gpu::RunMetrics m = sim.run();
         std::printf("trace replay under %s: cycles=%llu ipc=%.2f "
                     "util=%.1f%% mdOverhead=%.2f%%\n",
@@ -1056,10 +1050,7 @@ main(int argc, char **argv)
     if (cmd == "trace") {
         if (argc < 3)
             return usage();
-        Args args(argc, argv, 3);
-        int rc = cmdTrace(args, argv[2]);
-        args.assertConsumed(cmd + " " + argv[2]);
-        return rc;
+        return cmdTrace(Args(argc, argv, 3), argv[2]);
     }
     static const std::map<std::string, int (*)(const Args &)> commands = {
         {"list", cmdList},
@@ -1071,8 +1062,7 @@ main(int argc, char **argv)
     auto it = commands.find(cmd);
     if (it == commands.end())
         return usage();
-    Args args(argc, argv, 2);
-    int rc = it->second(args);
-    args.assertConsumed(cmd);
-    return rc;
+    // Every subcommand reads its flags and calls Args::assertConsumed
+    // before it simulates anything, so a typo costs no simulation.
+    return it->second(Args(argc, argv, 2));
 }

@@ -11,6 +11,7 @@
 #include "core/overrides.hh"
 #include "crypto/dispatch.hh"
 #include "mem/replacement.hh"
+#include "schemes/schemes.hh"
 
 using namespace shmgpu;
 
@@ -73,24 +74,26 @@ TEST(Overrides, ApplyToGpuAndMeeParams)
 gpu.num_sms          = 16
 gpu.sm_window        = 24
 dram.bytes_per_cycle = 8
-mee.mats             = 4
-mee.chunk_bytes      = 2048
-mee.mac_bytes        = 4
-mee.static_space_hints = true
 )");
     gpu::GpuParams gp;
-    mee::MeeParams mp;
+    core::MeeSettings ms;
     core::applyGpuOverrides(c, gp);
-    core::applyMeeOverrides(c, mp);
+    core::applyMeeOverrides(c, ms);
     c.assertConsumed();
 
     EXPECT_EQ(gp.numSms, 16u);
     EXPECT_EQ(gp.smWindow, 24u);
     EXPECT_DOUBLE_EQ(gp.dram.bytesPerCycle, 8.0);
-    EXPECT_EQ(mp.streamDetector.trackers, 4u);
-    EXPECT_EQ(mp.streamDetector.chunkBytes, 2048u);
-    EXPECT_EQ(mp.macBytes, 4u);
-    EXPECT_TRUE(mp.staticSpaceHints);
+}
+
+TEST(Overrides, IcntLatencyReachesTheInterconnectParams)
+{
+    // GpuSimulator builds its Interconnect from GpuParams::icnt.
+    Config c = parse("gpu.icnt_latency = 7\n");
+    gpu::GpuParams gp;
+    core::applyGpuOverrides(c, gp);
+    c.assertConsumed();
+    EXPECT_EQ(gp.icnt.latency, 7u);
 }
 
 TEST(Overrides, ReplacementPolicyKeys)
@@ -100,21 +103,21 @@ cache.policy   = sieve
 mee.mdc_policy = s3fifo
 )");
     gpu::GpuParams gp;
-    mee::MeeParams mp;
+    core::MeeSettings ms;
     core::applyGpuOverrides(c, gp);
-    core::applyMeeOverrides(c, mp);
+    core::applyMeeOverrides(c, ms);
     c.assertConsumed();
     EXPECT_EQ(gp.l2Policy, mem::PolicyKind::Sieve);
-    EXPECT_EQ(mp.mdcPolicy, mem::PolicyKind::S3Fifo);
+    EXPECT_EQ(ms.mdcPolicy, mem::PolicyKind::S3Fifo);
 
     // Defaults stay LRU when the keys are absent.
     Config empty = parse("");
     gpu::GpuParams gp2;
-    mee::MeeParams mp2;
+    core::MeeSettings ms2;
     core::applyGpuOverrides(empty, gp2);
-    core::applyMeeOverrides(empty, mp2);
+    core::applyMeeOverrides(empty, ms2);
     EXPECT_EQ(gp2.l2Policy, mem::PolicyKind::Lru);
-    EXPECT_EQ(mp2.mdcPolicy, mem::PolicyKind::Lru);
+    EXPECT_EQ(ms2.mdcPolicy, mem::PolicyKind::Lru);
 }
 
 TEST(Overrides, UnknownPolicyNamesTheValidSet)
@@ -132,32 +135,49 @@ TEST(Overrides, UnknownPolicyNamesTheValidSet)
     EXPECT_DEATH(
         {
             Config c = parse("mee.mdc_policy = LRU\n");
-            mee::MeeParams mp;
-            core::applyMeeOverrides(c, mp);
+            core::MeeSettings ms;
+            core::applyMeeOverrides(c, ms);
         },
         "unknown replacement policy 'LRU'");
-}
-
-TEST(Overrides, MdcBytesSetsAllThreeCaches)
-{
-    Config c = parse("mee.mdc_bytes = 4096\n");
-    mee::MeeParams mp;
-    core::applyMeeOverrides(c, mp);
-    EXPECT_EQ(mp.counterCache.sizeBytes, 4096u);
-    EXPECT_EQ(mp.macCache.sizeBytes, 4096u);
-    EXPECT_EQ(mp.bmtCache.sizeBytes, 4096u);
 }
 
 TEST(Overrides, DefaultsUntouchedWithoutKeys)
 {
     Config c = parse("gpu.num_sms = 8\n");
     gpu::GpuParams gp;
-    mee::MeeParams mp;
+    core::MeeSettings ms;
     core::applyGpuOverrides(c, gp);
-    core::applyMeeOverrides(c, mp);
+    core::applyMeeOverrides(c, ms);
     EXPECT_EQ(gp.numSms, 8u);
     EXPECT_EQ(gp.numPartitions, 12u);
-    EXPECT_EQ(mp.macBytes, 8u);
+    // Stamping the untouched record changes nothing else.
+    EXPECT_EQ(core::meeParamsFor(schemes::Scheme::Shm, ms).macBytes, 8u);
+}
+
+TEST(Overrides, AdaptiveKeysSetTheRecordOnlyWhenPresent)
+{
+    Config c = parse("mee.mdc_policy = fifo\n");
+    core::MeeSettings ms;
+    core::applyMeeOverrides(c, ms);
+    c.assertConsumed();
+    EXPECT_FALSE(ms.adaptEpoch.has_value());
+    EXPECT_FALSE(ms.adaptThresholds.has_value());
+
+    Config adapt = parse("mee.adapt_epoch = 0\n"
+                         "mee.adapt_thresholds = 2,8,0.5\n");
+    core::MeeSettings ms2;
+    core::applyMeeOverrides(adapt, ms2);
+    adapt.assertConsumed();
+    ASSERT_TRUE(ms2.adaptEpoch.has_value());
+    EXPECT_EQ(*ms2.adaptEpoch, 0u);
+    ASSERT_TRUE(ms2.adaptThresholds.has_value());
+    EXPECT_EQ(ms2.adaptThresholds->roMinReads, 2u);
+    EXPECT_EQ(ms2.adaptThresholds->streamMinReads, 8u);
+    EXPECT_DOUBLE_EQ(ms2.adaptThresholds->macOnlyMissRate, 0.5);
+
+    mee::MeeParams mp = core::meeParamsFor(schemes::Scheme::ShmAdaptive, ms2);
+    EXPECT_EQ(mp.adaptEpoch, 0u);
+    EXPECT_EQ(mp.adaptThresholds.streamMinReads, 8u);
 }
 
 TEST(Overrides, RemovedEngineKeysAreFatal)
@@ -170,10 +190,35 @@ TEST(Overrides, RemovedEngineKeysAreFatal)
             {
                 Config c = parse(std::string(key) + " = 4\n");
                 gpu::GpuParams gp;
-                mee::MeeParams mp;
+                core::MeeSettings ms;
                 trace::TraceParams tp;
                 core::applyGpuOverrides(c, gp);
-                core::applyMeeOverrides(c, mp);
+                core::applyMeeOverrides(c, ms);
+                core::applyTraceOverrides(c, tp);
+                c.assertConsumed();
+            },
+            std::string("unknown configuration key '") + key + "'");
+    }
+}
+
+TEST(Overrides, IgnoredEngineKeysAreFatal)
+{
+    // MEE keys with no effect on any simulation are unknown keys,
+    // like any typo.
+    for (const char *key :
+         {"mee.aes_latency", "mee.hash_latency", "mee.bmt_arity",
+          "mee.mac_bytes", "mee.static_space_hints",
+          "mee.programming_model_hints", "mee.mdc_bytes", "mee.mats",
+          "mee.chunk_bytes", "mee.stream_entries", "mee.mat_timeout",
+          "mee.ro_entries", "mee.ro_region_bytes"}) {
+        EXPECT_DEATH(
+            {
+                Config c = parse(std::string(key) + " = 1\n");
+                gpu::GpuParams gp;
+                core::MeeSettings ms;
+                trace::TraceParams tp;
+                core::applyGpuOverrides(c, gp);
+                core::applyMeeOverrides(c, ms);
                 core::applyTraceOverrides(c, tp);
                 c.assertConsumed();
             },

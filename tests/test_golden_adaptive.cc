@@ -56,7 +56,7 @@ runPinnedGrid()
     std::vector<ExperimentResult> all;
     for (Cycle epoch : {Cycle{2000}, Cycle{10000}}) {
         SweepOptions opts;
-        opts.run.adaptEpoch = epoch;
+        opts.run.meeSettings.adaptEpoch = epoch;
         auto results =
             runner.run({schemes::Scheme::ShmAdaptive},
                        {&stream, &random, &mixed}, opts);

@@ -80,7 +80,7 @@ runPinnedGrid()
     opts.jobs = 1;
     // A fast reclassification epoch so the adaptive cells below see
     // several epochs per quantum. Inert for the non-adaptive schemes.
-    opts.run.adaptEpoch = 1000;
+    opts.run.meeSettings.adaptEpoch = 1000;
     std::vector<ScenarioCell> cells;
     for (const auto &scn : scenarios)
         for (auto scheme :

@@ -94,7 +94,7 @@ TEST(CellKey, EveryAxisMovesTheKey)
     pol.l2Policy = mem::PolicyKind::Sieve;
     EXPECT_NE(keyWith(pol, RunOptions{}, spec), base);
     RunOptions mdc;
-    mdc.mdcPolicy = mem::PolicyKind::Fifo;
+    mdc.meeSettings.mdcPolicy = mem::PolicyKind::Fifo;
     EXPECT_NE(keyWith(quickParams(), mdc, spec), base);
 
     // Accuracy collection changes the attribution tallies.
@@ -140,24 +140,24 @@ TEST(CellKey, AdaptiveKnobsMoveTheKey)
     const std::uint64_t base = keyWith(quickParams(), RunOptions{}, spec);
 
     RunOptions epoch;
-    epoch.adaptEpoch = 10000;
+    epoch.meeSettings.adaptEpoch = 10000;
     EXPECT_NE(keyWith(quickParams(), epoch, spec), base);
 
     RunOptions frozen;
-    frozen.adaptEpoch = 0; // freezes at Full != scheme default
+    frozen.meeSettings.adaptEpoch = 0; // freezes at Full != scheme default
     EXPECT_NE(keyWith(quickParams(), frozen, spec), base);
     EXPECT_NE(keyWith(quickParams(), frozen, spec),
               keyWith(quickParams(), epoch, spec));
 
     RunOptions th;
-    th.adaptThresholds = mee::AdaptThresholds{};
+    th.meeSettings.adaptThresholds = mee::AdaptThresholds{};
     EXPECT_NE(keyWith(quickParams(), th, spec), base);
     RunOptions th2 = th;
-    th2.adaptThresholds->roMinReads += 1;
+    th2.meeSettings.adaptThresholds->roMinReads += 1;
     EXPECT_NE(keyWith(quickParams(), th2, spec),
               keyWith(quickParams(), th, spec));
     RunOptions th3 = th;
-    th3.adaptThresholds->macOnlyMissRate = 0.5;
+    th3.meeSettings.adaptThresholds->macOnlyMissRate = 0.5;
     EXPECT_NE(keyWith(quickParams(), th3, spec),
               keyWith(quickParams(), th, spec));
 }
@@ -168,10 +168,12 @@ TEST(ScenarioKey, AdaptiveKnobsMoveTheScenarioKey)
         workload::makeStreamingMicro());
     auto key = [&](std::optional<Cycle> epoch,
                    std::optional<mee::AdaptThresholds> th) {
+        MeeSettings settings;
+        settings.adaptEpoch = epoch;
+        settings.adaptThresholds = th;
         return scenarioCellKey(quickParams(), gpu::EnergyParams{},
-                               /*with_solo=*/true, mem::PolicyKind::Lru,
-                               epoch, th, schemes::Scheme::ShmAdaptive,
-                               scn, "v-test");
+                               /*with_solo=*/true, settings,
+                               schemes::Scheme::ShmAdaptive, scn, "v-test");
     };
     const std::uint64_t base = key(std::nullopt, std::nullopt);
     EXPECT_EQ(base, key(std::nullopt, std::nullopt));
@@ -423,7 +425,7 @@ TEST(ResultCacheFuzz, NoKeyCollisionsAcrossAConfigLattice)
                         gp.l2Policy = policy;
                         gp.maxCyclesPerKernel = cycles;
                         RunOptions run;
-                        run.mdcPolicy = policy;
+                        run.meeSettings.mdcPolicy = policy;
                         keys.insert(keyWith(gp, run, spec, scheme, ver));
                         ++produced;
                     }
