@@ -41,16 +41,6 @@ needsProfile(schemes::Scheme scheme, const RunOptions &options)
     return options.collectAccuracy || schemes::needsProfilePass(scheme);
 }
 
-BaselineCache::Entry &
-BaselineCache::entryFor(const workload::WorkloadSpec &spec)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    auto &slot = entries[workload::contentHash(spec)];
-    if (!slot)
-        slot = std::make_unique<Entry>();
-    return *slot;
-}
-
 gpu::RunMetrics
 BaselineCache::simulate(const workload::WorkloadSpec &spec,
                         detect::AccessProfile *collector)
@@ -67,12 +57,8 @@ BaselineCache::simulate(const workload::WorkloadSpec &spec,
 const gpu::RunMetrics &
 BaselineCache::metricsFor(const workload::WorkloadSpec &spec)
 {
-    Entry &entry = entryFor(spec);
-    // Simulate outside the map lock so unrelated lookups proceed;
-    // call_once serializes exactly the threads needing this spec.
-    std::call_once(entry.once,
-                   [&] { entry.metrics = simulate(spec, nullptr); });
-    return entry.metrics;
+    return metrics.get(workload::contentHash(spec),
+                       [&] { return simulate(spec, nullptr); });
 }
 
 std::shared_ptr<const detect::AccessProfile>
@@ -96,23 +82,15 @@ BaselineCache::profileFor(const workload::WorkloadSpec &spec,
         gpuConfig.numPartitions, geometry.regionBytes, geometry.chunkBytes);
     // If the metrics are still unsimulated, this one profiled run
     // provides them; otherwise only the profile needs a pass.
-    Entry &entry = entryFor(spec);
     bool collected = false;
-    std::call_once(entry.once, [&] {
-        entry.metrics = simulate(spec, profile.get());
+    metrics.get(workload::contentHash(spec), [&] {
         collected = true;
+        return simulate(spec, profile.get());
     });
     if (!collected)
         simulate(spec, profile.get());
     pe->profile = profile;
     return profile;
-}
-
-std::size_t
-BaselineCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return entries.size();
 }
 
 Experiment::Experiment(const gpu::GpuParams &gpu_params,

@@ -149,16 +149,61 @@ ProfileGeometry profileGeometry(schemes::Scheme scheme);
 bool needsProfile(schemes::Scheme scheme, const RunOptions &options);
 
 /**
+ * Thread-safe memo computing each key's value exactly once: callers of
+ * a key in flight wait for it (call_once) while other keys proceed.
+ * Values keep their address for the memo's lifetime. Holds
+ * BaselineCache's metrics and ScenarioSoloCache's solo references.
+ */
+template <typename Value>
+class OnceMemo
+{
+  public:
+    /** The value under @p key, computed by @p make() on first use. */
+    template <typename Make>
+    const Value &
+    get(std::uint64_t key, Make &&make)
+    {
+        Entry *entry = nullptr;
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            auto &slot = entries[key];
+            if (!slot)
+                slot = std::make_unique<Entry>();
+            entry = slot.get();
+        }
+        std::call_once(entry->once, [&] { entry->value = make(); });
+        return entry->value;
+    }
+
+    /** Number of distinct keys requested so far. */
+    std::size_t
+    size() const
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        return entries.size();
+    }
+
+  private:
+    struct Entry
+    {
+        std::once_flag once;
+        Value value;
+    };
+
+    mutable std::mutex mutex;
+    std::map<std::uint64_t, std::unique_ptr<Entry>> entries;
+};
+
+/**
  * Thread-safe store of the no-security Baseline simulation of each
  * spec: its metrics, and on request the ground-truth access profile
  * collected along the way. Keyed by workload::contentHash so distinct
  * specs sharing a name (regenerated parameter sweeps) never alias.
  *
  * Each unique spec's metrics are simulated exactly once even under
- * concurrent lookups: the entry's once_flag lets other threads wait
- * for the in-flight simulation instead of duplicating it. When the
- * first request is for a profile, that one profiled run fills the
- * metrics too (collecting a profile never changes them).
+ * concurrent lookups (OnceMemo). When the first request is for a
+ * profile, that one profiled run fills the metrics too (collecting a
+ * profile never changes them).
  */
 class BaselineCache
 {
@@ -182,7 +227,7 @@ class BaselineCache
                const ProfileGeometry &geometry);
 
     /** Number of distinct specs whose metrics were requested. */
-    std::size_t size() const;
+    std::size_t size() const { return metrics.size(); }
 
     /** Baseline simulations run so far, profiled passes included. */
     std::size_t simulations() const { return simulated.load(); }
@@ -190,28 +235,20 @@ class BaselineCache
     const gpu::GpuParams &gpuParams() const { return gpuConfig; }
 
   private:
-    struct Entry
-    {
-        std::once_flag once;
-        gpu::RunMetrics metrics;
-    };
-
     struct ProfileEntry
     {
         std::mutex mutex; //!< serializes the threads needing it
         std::weak_ptr<const detect::AccessProfile> profile;
     };
 
-    Entry &entryFor(const workload::WorkloadSpec &spec);
     gpu::RunMetrics simulate(const workload::WorkloadSpec &spec,
                              detect::AccessProfile *collector);
 
     gpu::GpuParams gpuConfig;
     std::atomic<std::size_t> simulated{0};
-    mutable std::mutex mutex;
-    /** unique_ptr entries: node-stable addresses survive rehash-free
-     *  map growth while other threads hold references. */
-    std::map<std::uint64_t, std::unique_ptr<Entry>> entries;
+    /** Keyed by spec content hash. */
+    OnceMemo<gpu::RunMetrics> metrics;
+    std::mutex mutex; //!< guards profiles
     /** Keyed by (spec content hash, region bytes, chunk bytes). */
     std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>,
              std::unique_ptr<ProfileEntry>>
@@ -242,7 +279,6 @@ class Experiment
     {
         return baselines->gpuParams();
     }
-    const gpu::EnergyParams &energyParams() const { return energyConfig; }
     const std::shared_ptr<BaselineCache> &baselineCache() const
     {
         return baselines;

@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "common/logging.hh"
-#include "crypto/dispatch.hh"
 
 namespace shmgpu::core
 {
@@ -26,8 +25,6 @@ applyGpuOverrides(Config &config, gpu::GpuParams &p)
     p.icnt.latency = config.getU64("gpu.icnt_latency", p.icnt.latency);
     p.victimMissRateThreshold = config.getDouble(
         "gpu.victim_threshold", p.victimMissRateThreshold);
-    p.referenceKernelLoop = config.getBool("gpu.reference_loop",
-                                           p.referenceKernelLoop);
     // Fatal on unknown names, listing the valid set.
     p.l2Policy = mem::policyFromName(config.getString(
         "cache.policy", mem::policyName(p.l2Policy)));
@@ -88,14 +85,6 @@ applyTraceOverrides(Config &config, trace::TraceParams &p)
     std::string classes = config.getString("trace.classes", "");
     if (!classes.empty())
         p.classMask = trace::parseClassMask(classes);
-}
-
-void
-applyCryptoOverrides(Config &config)
-{
-    std::string name = config.getString("crypto.backend", "");
-    if (!name.empty())
-        crypto::setBackend(crypto::backendFromName(name));
 }
 
 } // namespace shmgpu::core

@@ -14,7 +14,6 @@
  *   mee.adapt_epoch        = 50000 # SHM_adaptive reclassify period
  *   mee.adapt_thresholds   = 4,16,0.9  # roMinReads,streamMinReads,
  *                                      # macOnlyMissRate
- *   crypto.backend         = auto  # auto/scalar/aesni/vaes
  *
  * Unknown keys are fatal (Config::assertConsumed); so are unknown
  * policy names, which list the valid set in the error.
@@ -55,17 +54,6 @@ mee::AdaptThresholds parseAdaptThresholds(const std::string &text);
  *   trace.classes = sm,txn,engine,l2,mee,detect (or "all")
  */
 void applyTraceOverrides(Config &config, trace::TraceParams &params);
-
-/**
- * Apply "crypto.*" keys to the process-wide crypto dispatch:
- *   crypto.backend = auto | scalar | aesni | vaes
- * "auto" (the default) probes cpuid for the best supported kernel;
- * "scalar" forces the portable reference path (useful to A/B the
- * batched backends — every backend is bit-identical, so this is a
- * wall-clock knob only). Unsupported names are fatal and list the
- * valid set; requesting a backend the host cannot run is fatal too.
- */
-void applyCryptoOverrides(Config &config);
 
 } // namespace shmgpu::core
 

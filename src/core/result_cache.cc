@@ -7,6 +7,7 @@
 
 #include "common/fingerprint.hh"
 #include "common/logging.hh"
+#include "core/scenario.hh"
 #include "core/sweep.hh"
 
 #ifndef SHMGPU_CODE_VERSION
@@ -172,7 +173,6 @@ ResultCache::ResultCache(std::string directory) : dir(std::move(directory))
 bool
 ResultCache::load(std::uint64_t key, ExperimentResult *out) const
 {
-    shm_assert(out != nullptr, "load needs a destination");
     json::Value payload;
     if (!loadValue(key, "result", &payload))
         return false;
@@ -184,6 +184,23 @@ void
 ResultCache::store(std::uint64_t key, const ExperimentResult &result) const
 {
     storeValue(key, "result", resultToJson(result));
+}
+
+bool
+ResultCache::load(std::uint64_t key, ScenarioExperimentResult *out) const
+{
+    json::Value payload;
+    if (!loadValue(key, "scenarioResult", &payload))
+        return false;
+    *out = scenarioResultFromJson(payload);
+    return true;
+}
+
+void
+ResultCache::store(std::uint64_t key,
+                   const ScenarioExperimentResult &result) const
+{
+    storeValue(key, "scenarioResult", scenarioResultToJson(result));
 }
 
 bool

@@ -58,6 +58,8 @@ class Fingerprint;
 namespace shmgpu::core
 {
 
+struct ScenarioExperimentResult;
+
 /**
  * The code-version stamp compiled into this binary (from the build
  * system's SHMGPU_CODE_VERSION, normally the git revision; "unknown"
@@ -122,43 +124,45 @@ class ResultCache
     explicit ResultCache(std::string dir);
 
     /**
-     * Load the cell stored under @p key into @p out. Returns false —
-     * a miss, never an error — when the file is absent, unparsable,
-     * from another schema version, or stamped with a different key
-     * (a hand-renamed file).
+     * @{ Load the cell stored under @p key into @p out (a sweep cell
+     * keyed by cellKey, or a scenario cell keyed by scenarioCellKey).
+     * Returns false — a miss, never an error — when the file is
+     * absent, unparsable, from another schema version, stamped with a
+     * different key (a hand-renamed file), or a cell of the other
+     * kind.
      */
     bool load(std::uint64_t key, ExperimentResult *out) const;
+    bool load(std::uint64_t key, ScenarioExperimentResult *out) const;
+    /** @} */
 
     /**
-     * Persist @p result under @p key: serialize to a temp file in the
-     * cache directory, then atomically rename into place. Safe to
+     * @{ Persist @p result under @p key: serialize to a temp file in
+     * the cache directory, then atomically rename into place. Safe to
      * call from concurrent sweep workers (distinct cells have
      * distinct keys; same-key writers are idempotent byte-for-byte).
      */
     void store(std::uint64_t key, const ExperimentResult &result) const;
-
-    /**
-     * Generic kind-tagged cell storage, the layer load()/store() are
-     * built on. @p kind names the payload member inside the cell file
-     * ("result" for sweep cells, "scenarioResult" for scenario cells),
-     * so a loader can never misinterpret a cell of another kind: a
-     * file whose payload member does not match @p kind is a miss.
-     * Distinct kinds also hash distinct key domains (cellKey vs
-     * scenarioCellKey), so they never collide on file names either.
-     */
-    bool loadValue(std::uint64_t key, const std::string &kind,
-                   json::Value *out) const;
-    /** Persist @p payload under @p key with the @p kind tag (same
-     *  temp-file-then-rename publication as store()). */
-    void storeValue(std::uint64_t key, const std::string &kind,
-                    const json::Value &payload) const;
+    void store(std::uint64_t key,
+               const ScenarioExperimentResult &result) const;
+    /** @} */
 
     /** The on-disk file name for @p key ("cell-<16 hex>.json"). */
     static std::string fileName(std::uint64_t key);
 
-    const std::string &directory() const { return dir; }
-
   private:
+    /**
+     * Kind-tagged cell storage under load()/store(). @p kind names the
+     * payload member inside the cell file ("result" for sweep cells,
+     * "scenarioResult" for scenario cells), so a file whose payload
+     * member does not match @p kind is a miss. Distinct kinds also
+     * hash distinct key domains (cellKey vs scenarioCellKey), so they
+     * never collide on file names either.
+     */
+    bool loadValue(std::uint64_t key, const std::string &kind,
+                   json::Value *out) const;
+    void storeValue(std::uint64_t key, const std::string &kind,
+                    const json::Value &payload) const;
+
     std::string dir;
 };
 

@@ -1,10 +1,8 @@
 #include "core/scenario.hh"
 
-#include <atomic>
-#include <exception>
 #include <fstream>
+#include <map>
 #include <ostream>
-#include <thread>
 
 #include "common/fingerprint.hh"
 #include "common/logging.hh"
@@ -97,22 +95,9 @@ ScenarioSoloCache::soloFor(schemes::Scheme scheme,
                            std::uint64_t key_seed,
                            const MeeSettings &settings)
 {
-    const std::uint64_t key = soloKey(scheme, spec, key_seed, settings);
-    Entry *entry = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        auto &slot = entries[key];
-        if (!slot)
-            slot = std::make_unique<Entry>();
-        entry = slot.get();
-    }
-    // Simulate outside the map lock; call_once serializes exactly the
-    // threads needing this reference (same shape as BaselineCache).
-    std::call_once(entry->once, [&] {
-        entry->metrics =
-            simulateSolo(gpuConfig, scheme, spec, key_seed, settings);
+    return solos.get(soloKey(scheme, spec, key_seed, settings), [&] {
+        return simulateSolo(gpuConfig, scheme, spec, key_seed, settings);
     });
-    return entry->metrics;
 }
 
 ScenarioExperimentResult
@@ -213,14 +198,7 @@ runScenarioCells(const gpu::GpuParams &gpu_params,
 {
     const std::size_t n = cells.size();
     std::vector<ScenarioExperimentResult> results(n);
-    if (n == 0)
-        return results;
-
-    unsigned jobs =
-        options.jobs != 0
-            ? options.jobs
-            : std::max(1u, std::thread::hardware_concurrency());
-    jobs = static_cast<unsigned>(std::min<std::size_t>(jobs, n));
+    std::vector<std::uint64_t> keys(n);
 
     // Solo references are shared across the whole grid: a quantum
     // sweep over one scenario pays for each tenant's solo run once.
@@ -229,69 +207,29 @@ runScenarioCells(const gpu::GpuParams &gpu_params,
     if (run.withSolo && run.soloCache == nullptr)
         run.soloCache = &solos;
 
-    const std::string &code_version = codeVersion();
-    const gpu::EnergyParams energy{};
-
-    std::atomic<std::size_t> next_cell{0};
-    std::atomic<bool> stop{false};
-    std::atomic<std::size_t> n_simulated{0};
-    std::atomic<std::size_t> n_cached{0};
-    std::vector<std::exception_ptr> errors(n);
-
-    auto worker = [&] {
-        while (true) {
-            const std::size_t i = next_cell.fetch_add(1);
-            if (i >= n || stop.load())
-                return;
-            try {
-                shm_assert(cells[i].scenario != nullptr,
-                           "scenario cell without a scenario");
-                std::uint64_t key = 0;
-                bool hit = false;
-                if (options.cache) {
-                    key = scenarioCellKey(gpu_params, energy,
-                                          run.withSolo, run.meeSettings,
-                                          cells[i].scheme,
-                                          *cells[i].scenario,
-                                          code_version);
-                    hit = loadScenarioCell(*options.cache, key,
-                                           &results[i]);
-                }
-                if (!hit) {
-                    results[i] = runScenarioExperiment(
-                        gpu_params, cells[i].scheme, *cells[i].scenario,
-                        run);
-                    if (options.cache)
-                        storeScenarioCell(*options.cache, key,
-                                          results[i]);
-                }
-                (hit ? n_cached : n_simulated).fetch_add(1);
-            } catch (...) {
-                errors[i] = std::current_exception();
-                stop.store(true);
-            }
-        }
+    GridPlan plan;
+    plan.cells = n;
+    plan.jobs = options.jobs;
+    plan.tally = options.tally;
+    if (options.cache) {
+        plan.load = [&](std::size_t i) {
+            shm_assert(cells[i].scenario != nullptr,
+                       "scenario cell without a scenario");
+            keys[i] = scenarioCellKey(gpu_params, gpu::EnergyParams{},
+                                      run.withSolo, run.meeSettings,
+                                      cells[i].scheme, *cells[i].scenario);
+            return options.cache->load(keys[i], &results[i]);
+        };
+    }
+    plan.simulate = [&](std::size_t i) {
+        shm_assert(cells[i].scenario != nullptr,
+                   "scenario cell without a scenario");
+        results[i] = runScenarioExperiment(gpu_params, cells[i].scheme,
+                                           *cells[i].scenario, run);
+        if (options.cache)
+            options.cache->store(keys[i], results[i]);
     };
-
-    if (jobs == 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (unsigned t = 0; t < jobs; ++t)
-            pool.emplace_back(worker);
-        for (auto &t : pool)
-            t.join();
-    }
-
-    if (options.tally) {
-        options.tally->simulated = n_simulated.load();
-        options.tally->cached = n_cached.load();
-    }
-    for (const auto &err : errors) {
-        if (err)
-            std::rethrow_exception(err);
-    }
+    runGrid(plan);
     return results;
 }
 
@@ -468,25 +406,6 @@ writeScenarioSweepJson(std::ostream &os,
 {
     scenarioSweepToJson(results).write(os, 2);
     os << "\n";
-}
-
-bool
-loadScenarioCell(const ResultCache &cache, std::uint64_t key,
-                 ScenarioExperimentResult *out)
-{
-    shm_assert(out != nullptr, "load needs a destination");
-    json::Value payload;
-    if (!cache.loadValue(key, "scenarioResult", &payload))
-        return false;
-    *out = scenarioResultFromJson(payload);
-    return true;
-}
-
-void
-storeScenarioCell(const ResultCache &cache, std::uint64_t key,
-                  const ScenarioExperimentResult &result)
-{
-    cache.storeValue(key, "scenarioResult", scenarioResultToJson(result));
 }
 
 } // namespace shmgpu::core

@@ -12,12 +12,12 @@
  * interference-free reference — and reports the deltas: ANTT-style
  * slowdown, read-only/streaming accuracy loss, and MDC hit-rate loss.
  *
- * Scenario cells flow through the same persistence machinery as sweep
- * cells: scenarioCellKey (core/result_cache.hh) fingerprints the full
- * configuration plus workload::contentHash(scenario), and
- * load/storeScenarioCell round-trip results byte-exactly through the
- * JSON sink, so quantum sweeps are incremental and resumable exactly
- * like workload sweeps.
+ * Scenario cells flow through the same persistence machinery and the
+ * same grid executor (runGrid) as sweep cells: scenarioCellKey
+ * (core/result_cache.hh) fingerprints the full configuration plus
+ * workload::contentHash(scenario), and ResultCache::load/store
+ * round-trip results byte-exactly through the JSON sink, so quantum
+ * sweeps are incremental and resumable exactly like workload sweeps.
  *
  * Determinism contract: a scenario cell's bytes depend only on its
  * fingerprint inputs — never on --jobs (slot-indexed results, solo
@@ -29,9 +29,6 @@
 #define SHMGPU_CORE_SCENARIO_HH
 
 #include <iosfwd>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -95,9 +92,9 @@ struct ScenarioExperimentResult
  * Memoized solo references shared across scenario cells: one
  * whole-GPU single-tenant simulation per distinct (scheme, workload
  * content hash, key seed, MEE settings), simulated exactly once even
- * under concurrent lookups (same call_once discipline as
- * BaselineCache). A quantum sweep over one scenario re-uses its
- * tenants' solo runs across every cell.
+ * under concurrent lookups (the OnceMemo BaselineCache uses too). A
+ * quantum sweep over one scenario re-uses its tenants' solo runs
+ * across every cell.
  */
 class ScenarioSoloCache
 {
@@ -124,15 +121,9 @@ class ScenarioSoloCache
     const gpu::GpuParams &gpuParams() const { return gpuConfig; }
 
   private:
-    struct Entry
-    {
-        std::once_flag once;
-        gpu::TenantRunMetrics metrics;
-    };
-
     gpu::GpuParams gpuConfig;
-    std::mutex mutex;
-    std::map<std::uint64_t, std::unique_ptr<Entry>> entries;
+    /** Keyed by soloKey (scheme, spec, key seed, MEE settings). */
+    OnceMemo<gpu::TenantRunMetrics> solos;
 };
 
 /** Options for one scenario experiment. */
@@ -195,7 +186,8 @@ struct ScenarioSweepOptions
 };
 
 /**
- * Run a list of scenario cells on a worker pool. Results are in cell
+ * Run a list of scenario cells on the grid executor (runGrid): cache
+ * hits first, then the missed cells in order. Results are in cell
  * order regardless of the job count, and bit-identical for any
  * --jobs value (same discipline as SweepRunner::runCells). The first
  * cell failure is rethrown after the pool drains.
@@ -225,15 +217,6 @@ scenarioSweepToJson(const std::vector<ScenarioExperimentResult> &results);
 void
 writeScenarioSweepJson(std::ostream &os,
                        const std::vector<ScenarioExperimentResult> &results);
-
-/** @{ Scenario cells in a ResultCache (key from scenarioCellKey);
- *  same miss-never-error and atomic-publish semantics as the sweep
- *  cell load/store. */
-bool loadScenarioCell(const ResultCache &cache, std::uint64_t key,
-                      ScenarioExperimentResult *out);
-void storeScenarioCell(const ResultCache &cache, std::uint64_t key,
-                       const ScenarioExperimentResult &result);
-/** @} */
 
 } // namespace shmgpu::core
 

@@ -1,9 +1,11 @@
 #include "core/sweep.hh"
 
 #include <algorithm>
+#include <deque>
 #include <exception>
 #include <iterator>
 #include <map>
+#include <mutex>
 #include <ostream>
 #include <thread>
 
@@ -55,25 +57,118 @@ SweepRunner::runBaseline(const workload::WorkloadSpec &spec,
     return held;
 }
 
+GridOutcome
+runGrid(const GridPlan &plan)
+{
+    const std::size_t n = plan.cells;
+    GridOutcome outcome;
+    // Distinct cells write distinct bytes: no lock needed.
+    std::vector<char> &finished = outcome.finished;
+    finished.assign(n, 0);
+    if (n == 0)
+        return outcome;
+
+    unsigned jobs = plan.jobs != 0
+                        ? plan.jobs
+                        : std::max(1u, std::thread::hardware_concurrency());
+    jobs = static_cast<unsigned>(std::min<std::size_t>(jobs, n));
+
+    std::atomic<bool> stop{false};
+    std::atomic<bool> auto_cancel{false};
+    std::atomic<std::size_t> done{0};
+    std::atomic<std::size_t> n_simulated{0};
+    std::mutex error_mutex;
+    std::vector<std::exception_ptr> errors(n);
+
+    auto cancelled = [&] {
+        return (plan.cancel && plan.cancel->load()) || auto_cancel.load();
+    };
+    // Run @p fn, recording a throw as @p cell's failure; the first
+    // failure abandons all unstarted work.
+    auto attempt = [&](std::size_t cell, const auto &fn) {
+        try {
+            fn();
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(error_mutex);
+            if (!errors[cell])
+                errors[cell] = std::current_exception();
+            stop.store(true);
+        }
+    };
+    auto cell_done = [&](std::size_t i) {
+        finished[i] = 1;
+        const std::size_t completed = done.fetch_add(1) + 1;
+        if (plan.cancelAfter != 0 && completed >= plan.cancelAfter)
+            auto_cancel.store(true);
+    };
+    // The worker pool: item(0..count-1) in order of dispatch across
+    // the workers (inline when jobs == 1) until done, failed or
+    // cancelled.
+    auto on_pool = [&](std::size_t count, const auto &item) {
+        std::atomic<std::size_t> next{0};
+        auto worker = [&] {
+            for (std::size_t k = next.fetch_add(1);
+                 k < count && !stop.load() && !cancelled();
+                 k = next.fetch_add(1))
+                item(k);
+        };
+        if (jobs == 1)
+            return worker();
+        std::vector<std::thread> pool;
+        pool.reserve(jobs);
+        for (unsigned t = 0; t < jobs; ++t)
+            pool.emplace_back(worker);
+        for (auto &t : pool)
+            t.join();
+    };
+
+    // Phase 1: resolve result-cache hits, so prepare sees only the
+    // misses.
+    if (plan.load)
+        on_pool(n, [&](std::size_t i) {
+            attempt(i, [&] {
+                if (plan.load(i))
+                    cell_done(i);
+            });
+        });
+    const std::size_t n_cached = done.load();
+
+    // Phase 2: the tasks prepare asks for, then the missed cells in
+    // grid order.
+    std::vector<std::size_t> misses;
+    for (std::size_t i = 0; i < n; ++i)
+        if (!finished[i])
+            misses.push_back(i);
+    std::vector<GridTask> tasks;
+    if (plan.prepare && !stop.load() && !cancelled())
+        tasks = plan.prepare(misses);
+    on_pool(tasks.size() + misses.size(), [&](std::size_t k) {
+        if (k < tasks.size())
+            return attempt(tasks[k].cell, tasks[k].run);
+        const std::size_t i = misses[k - tasks.size()];
+        attempt(i, [&] {
+            plan.simulate(i);
+            n_simulated.fetch_add(1);
+            cell_done(i);
+        });
+    });
+
+    if (plan.tally) {
+        plan.tally->simulated = n_simulated.load();
+        plan.tally->cached = n_cached;
+    }
+    // Rethrow the failure with the lowest cell index so the caller
+    // sees the same error no matter how cells were scheduled.
+    for (const auto &err : errors) {
+        if (err)
+            std::rethrow_exception(err);
+    }
+    outcome.cancelled = cancelled();
+    return outcome;
+}
+
 namespace
 {
-
-/** Run @p worker on @p jobs threads (inline when jobs == 1). */
-template <typename Fn>
-void
-runOnPool(unsigned jobs, const Fn &worker)
-{
-    if (jobs == 1) {
-        worker();
-        return;
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (unsigned t = 0; t < jobs; ++t)
-        pool.emplace_back(worker);
-    for (auto &t : pool)
-        t.join();
-}
 
 /** One distinct spec's baseline, dispatched before any cell. */
 struct BaselineTask
@@ -95,6 +190,23 @@ struct BaselineTask
     }
 };
 
+/** Releases a task's hold (if any) when it leaves scope, however. */
+class TaskHold
+{
+  public:
+    explicit TaskHold(BaselineTask *held_task) : task(held_task) {}
+    TaskHold(const TaskHold &) = delete;
+    TaskHold &operator=(const TaskHold &) = delete;
+    ~TaskHold()
+    {
+        if (task)
+            task->release();
+    }
+
+  private:
+    BaselineTask *task;
+};
+
 } // namespace
 
 std::vector<ExperimentResult>
@@ -103,143 +215,72 @@ SweepRunner::runCells(const std::vector<SweepCell> &cells,
 {
     const std::size_t n = cells.size();
     std::vector<ExperimentResult> results(n);
-    if (n == 0)
-        return results;
-
-    unsigned jobs = options.jobs != 0
-                        ? options.jobs
-                        : std::max(1u, std::thread::hardware_concurrency());
-    jobs = static_cast<unsigned>(
-        std::min<std::size_t>(jobs, n));
-
     const Experiment experiment(baselines, energyConfig);
-    std::atomic<bool> stop{false};
-    std::atomic<bool> auto_cancel{false};
-    std::atomic<std::size_t> done{0};
-    std::atomic<std::size_t> n_simulated{0};
-    std::vector<std::exception_ptr> errors(n);
-    // Which slots hold finished results — what SweepCancelled keeps.
-    std::vector<std::atomic<bool>> finished(n);
-
-    auto cancelled = [&] {
-        return (options.cancel && options.cancel->load()) ||
-               auto_cancel.load();
-    };
-    auto cell_done = [&] {
-        const std::size_t completed = done.fetch_add(1) + 1;
-        if (options.cancelAfter != 0 && completed >= options.cancelAfter)
-            auto_cancel.store(true);
-    };
-
-    // Phase 1: resolve result-cache hits, so only specs with a miss
-    // get a baseline task.
     std::vector<std::uint64_t> keys(n);
-    if (options.cache) {
-        const std::string &code_version = codeVersion();
-        std::atomic<std::size_t> next{0};
-        runOnPool(jobs, [&] {
-            for (std::size_t i = next.fetch_add(1); i < n;
-                 i = next.fetch_add(1)) {
-                if (stop.load() || cancelled())
-                    return;
-                try {
-                    keys[i] = cellKey(baselines->gpuParams(), energyConfig,
-                                      options.run, cells[i].scheme,
-                                      *cells[i].spec, code_version);
-                    if (options.cache->load(keys[i], &results[i])) {
-                        finished[i].store(true);
-                        cell_done();
-                    }
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                    stop.store(true);
-                }
-            }
-        });
-    }
-    const std::size_t n_cached = done.load();
-
-    // Phase 2: one baseline task per distinct spec with a miss (first
-    // appearance order), then the missed cells in grid order.
-    std::vector<std::size_t> misses;
-    std::map<std::uint64_t, std::size_t> task_of_spec;
+    // One baseline task per distinct spec with a miss (first
+    // appearance order), holding profiles for its consuming cells.
+    std::deque<BaselineTask> tasks;
     std::vector<std::size_t> task_of_cell(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (finished[i].load())
-            continue;
-        shm_assert(cells[i].spec != nullptr, "sweep cell without a workload");
-        misses.push_back(i);
-        task_of_cell[i] =
-            task_of_spec
-                .emplace(workload::contentHash(*cells[i].spec),
-                         task_of_spec.size())
-                .first->second;
-    }
-    std::vector<BaselineTask> tasks(task_of_spec.size());
-    for (std::size_t i : misses) {
-        BaselineTask &task = tasks[task_of_cell[i]];
-        if (!task.spec) {
-            task.spec = cells[i].spec;
-            task.firstCell = i;
-        }
-        if (!needsProfile(cells[i].scheme, options.run))
-            continue;
-        task.users.fetch_add(1);
-        const ProfileGeometry g = profileGeometry(cells[i].scheme);
-        if (std::find(task.geometries.begin(), task.geometries.end(), g) ==
-            task.geometries.end())
-            task.geometries.push_back(g);
-    }
 
-    const std::size_t n_tasks = tasks.size() + misses.size();
-    std::atomic<std::size_t> next{0};
-    runOnPool(jobs, [&] {
-        while (true) {
-            const std::size_t k = next.fetch_add(1);
-            if (k >= n_tasks || stop.load() || cancelled())
-                return;
-            if (k < tasks.size()) {
-                BaselineTask &task = tasks[k];
-                try {
-                    task.held = runBaseline(*task.spec, task.geometries);
-                } catch (...) {
-                    errors[task.firstCell] = std::current_exception();
-                    stop.store(true); // abandon unstarted cells
-                }
-                task.release();
+    GridPlan plan;
+    plan.cells = n;
+    plan.jobs = options.jobs;
+    plan.cancel = options.cancel.get();
+    plan.cancelAfter = options.cancelAfter;
+    plan.tally = options.tally;
+    if (options.cache) {
+        plan.load = [&](std::size_t i) {
+            keys[i] = cellKey(baselines->gpuParams(), energyConfig,
+                              options.run, cells[i].scheme,
+                              *cells[i].spec);
+            return options.cache->load(keys[i], &results[i]);
+        };
+    }
+    plan.prepare = [&](const std::vector<std::size_t> &misses) {
+        std::map<std::uint64_t, std::size_t> task_of_spec;
+        for (std::size_t i : misses) {
+            shm_assert(cells[i].spec != nullptr,
+                       "sweep cell without a workload");
+            const auto [it, fresh] = task_of_spec.emplace(
+                workload::contentHash(*cells[i].spec), tasks.size());
+            task_of_cell[i] = it->second;
+            if (fresh)
+                tasks.emplace_back();
+            BaselineTask &task = tasks[it->second];
+            if (!task.spec) {
+                task.spec = cells[i].spec;
+                task.firstCell = i;
+            }
+            if (!needsProfile(cells[i].scheme, options.run))
                 continue;
-            }
-            const std::size_t i = misses[k - tasks.size()];
-            try {
-                results[i] = runCell(experiment, cells[i], options.run);
-                // Publish the moment the cell finishes: a sweep
-                // killed one cell later resumes from here.
-                if (options.cache)
-                    options.cache->store(keys[i], results[i]);
-                n_simulated.fetch_add(1);
-                finished[i].store(true);
-                cell_done();
-            } catch (...) {
-                errors[i] = std::current_exception();
-                stop.store(true); // abandon unstarted cells
-            }
-            if (needsProfile(cells[i].scheme, options.run))
-                tasks[task_of_cell[i]].release();
+            task.users.fetch_add(1);
+            const ProfileGeometry g = profileGeometry(cells[i].scheme);
+            if (std::find(task.geometries.begin(), task.geometries.end(),
+                          g) == task.geometries.end())
+                task.geometries.push_back(g);
         }
-    });
+        std::vector<GridTask> run;
+        for (BaselineTask &task : tasks)
+            run.push_back({task.firstCell, [this, &task] {
+                               const TaskHold hold(&task);
+                               task.held =
+                                   runBaseline(*task.spec, task.geometries);
+                           }});
+        return run;
+    };
+    plan.simulate = [&](std::size_t i) {
+        const TaskHold hold(needsProfile(cells[i].scheme, options.run)
+                                ? &tasks[task_of_cell[i]]
+                                : nullptr);
+        results[i] = runCell(experiment, cells[i], options.run);
+        // Publish the moment the cell finishes: a sweep killed one
+        // cell later resumes from here.
+        if (options.cache)
+            options.cache->store(keys[i], results[i]);
+    };
 
-    if (options.tally) {
-        options.tally->simulated = n_simulated.load();
-        options.tally->cached = n_cached;
-    }
-
-    // Rethrow the failure with the lowest grid index so the caller
-    // sees the same error no matter how cells were scheduled.
-    for (const auto &err : errors) {
-        if (err)
-            std::rethrow_exception(err);
-    }
-    if (cancelled()) {
+    const GridOutcome outcome = runGrid(plan);
+    if (outcome.cancelled) {
         // Hand the finished cells back (grid order, gaps removed):
         // with a cache attached they are already flushed to disk, so
         // the caller can report "partial, resumable" instead of
@@ -247,7 +288,7 @@ SweepRunner::runCells(const std::vector<SweepCell> &cells,
         SweepCancelled ex;
         ex.totalCells = n;
         for (std::size_t i = 0; i < n; ++i) {
-            if (finished[i].load())
+            if (outcome.finished[i])
                 ex.partial.push_back(std::move(results[i]));
         }
         throw ex;

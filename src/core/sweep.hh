@@ -1,6 +1,8 @@
 /**
  * @file
- * core::SweepRunner — the parallel (scheme x workload) grid executor.
+ * core::SweepRunner — the parallel (scheme x workload) grid runner —
+ * and core::runGrid, the one executor it shares with scenario grids
+ * (core::runScenarioCells).
  *
  * Every paper figure is a grid of independent Experiment cells; this
  * runner executes them on a pool of worker threads while guaranteeing
@@ -29,6 +31,7 @@
 #define SHMGPU_CORE_SWEEP_HH
 
 #include <atomic>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <stdexcept>
@@ -75,6 +78,54 @@ struct SweepTally
     /** Cells loaded from the ResultCache instead of simulated. */
     std::size_t cached = 0;
 };
+
+/** A task the grid executor runs before the missed cells; a throw
+ *  counts as the failure of @ref cell. */
+struct GridTask
+{
+    std::size_t cell = 0;
+    std::function<void()> run;
+};
+
+/** One grid as runGrid sees it: its size, its cell kind's hooks and
+ *  the scheduling controls every kind shares. */
+struct GridPlan
+{
+    std::size_t cells = 0;
+    /** Worker threads; 0 means std::thread::hardware_concurrency(). */
+    unsigned jobs = 1;
+    /** Load cell i from the result cache, true on a hit; null without
+     *  a cache. */
+    std::function<bool(std::size_t)> load;
+    /** The tasks to run before the missed cells (given in grid
+     *  order); null for none. */
+    std::function<std::vector<GridTask>(const std::vector<std::size_t> &)>
+        prepare;
+    /** Simulate cell i and publish it to the cache, if any. */
+    std::function<void(std::size_t)> simulate;
+    /** @{ As in SweepOptions. */
+    const std::atomic<bool> *cancel = nullptr;
+    std::size_t cancelAfter = 0;
+    SweepTally *tally = nullptr;
+    /** @} */
+};
+
+/** How a grid run that did not throw ended. */
+struct GridOutcome
+{
+    bool cancelled = false;
+    /** Per cell: nonzero when loaded or simulated. */
+    std::vector<char> finished;
+};
+
+/**
+ * The one grid executor, behind SweepRunner::runCells and
+ * runScenarioCells. Dispatch order: result-cache hits first (on the
+ * pool), then plan.prepare's tasks, then the missed cells in grid
+ * order. The failure with the lowest cell index is rethrown after the
+ * pool drains; unstarted work is abandoned after a failure or cancel.
+ */
+GridOutcome runGrid(const GridPlan &plan);
 
 /** Options for one sweep. */
 struct SweepOptions

@@ -2,12 +2,12 @@
  * @file
  * Batched AES-128 encryption with runtime CPU dispatch.
  *
- * Counter-mode pad generation and CMAC both encrypt many independent
- * blocks under one key, so the dominant cost is not one AES round but
- * the latency chain of ten rounds per block. Keeping 4 or 8 blocks in
- * flight hides that chain: the AES-NI path pipelines 8 xmm states
- * through each round, the VAES path packs 2 blocks per ymm register,
- * and the scalar path simply loops the reference T-table cipher. The
+ * Counter-mode pad generation encrypts many independent blocks under
+ * one key, so the dominant cost is not one AES round but the latency
+ * chain of ten rounds per block. Keeping 4 or 8 blocks in flight hides
+ * that chain: the AES-NI path pipelines 8 xmm states through each
+ * round, the VAES path packs 2 blocks per ymm register, and the scalar
+ * path simply loops the reference T-table cipher. The
  * backend is chosen at runtime (crypto/dispatch.hh); every path
  * computes exactly FIPS-197 AES-128, which the differential fuzz in
  * tests/test_crypto_batch.cc verifies byte for byte against the

@@ -8,9 +8,8 @@
  * the simulator must produce bit-identical results on every machine,
  * hardware paths are selected at *runtime* (cpuid probe at startup)
  * and the portable scalar path is always compiled in as the
- * differential reference — `crypto.backend = scalar` (or `--crypto
- * scalar`) forces it for reproducibility runs, and the batched
- * implementations are proven byte-identical to it by
+ * differential reference — setBackend(Backend::Scalar) forces it, and
+ * the batched implementations are proven byte-identical to it by
  * tests/test_crypto_batch.cc.
  */
 
@@ -48,8 +47,7 @@ bool backendSupported(Backend backend);
 /**
  * The process-wide active backend. Defaults to
  * bestSupportedBackend(); engines snapshot it at construction, so set
- * it before building contexts (the CLI does this from `--crypto` /
- * the `crypto.backend` override key).
+ * it before building contexts (tests and micro_crypto force one).
  */
 Backend activeBackend();
 

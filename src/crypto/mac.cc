@@ -2,6 +2,9 @@
 
 #include <vector>
 
+#include "common/bitops.hh"
+#include "common/logging.hh"
+
 namespace shmgpu::crypto
 {
 
@@ -73,6 +76,30 @@ MacEngine::chunkMac(std::span<const Mac> block_macs, LocalAddr chunk_addr,
     h.updateU64(chunk_addr);
     h.updateU64(partition);
     return h.digest();
+}
+
+std::uint64_t
+truncateMac(std::uint64_t tag, unsigned bits)
+{
+    shm_assert(bits >= 1 && bits <= 64, "MAC width {} out of range",
+               bits);
+    if (bits == 64)
+        return tag;
+    return tag & ((std::uint64_t{1} << bits) - 1);
+}
+
+double
+collisionExponent(unsigned mac_bits)
+{
+    return mac_bits / 2.0;
+}
+
+unsigned
+minimumMacBits(std::uint64_t protected_bytes, std::uint32_t block_bytes)
+{
+    // 2^(n/2) must exceed the number of protected blocks.
+    std::uint64_t blocks = protected_bytes / block_bytes;
+    return 2 * ceilLog2(blocks);
 }
 
 } // namespace shmgpu::crypto

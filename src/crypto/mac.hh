@@ -6,7 +6,9 @@
  * by the paper, a block MAC binds the ciphertext to its address and its
  * encryption counters so that splicing and counter-tampering are
  * caught. A chunk MAC (the paper's coarse-grain MAC) hashes the block
- * MACs of all blocks in a chunk.
+ * MACs of all blocks in a chunk. truncateMac()/collisionExponent()/
+ * minimumMacBits() capture the birthday-bound argument the paper makes
+ * against short MACs (Section III-C).
  */
 
 #ifndef SHMGPU_CRYPTO_MAC_HH
@@ -68,6 +70,25 @@ class MacEngine
   private:
     SipKey key;
 };
+
+/** Keep only the low @p bits of a tag (e.g. PSSM's 32-bit MACs). */
+std::uint64_t truncateMac(std::uint64_t tag, unsigned bits);
+
+/**
+ * Birthday bound: with an n-bit MAC a collision is expected after
+ * about 2^(n/2) observations. Returns n/2 — the security exponent the
+ * paper compares against the 2^25 memory blocks of a 4 GB device
+ * (Section III-C concludes n must be at least ~50).
+ */
+double collisionExponent(unsigned mac_bits);
+
+/**
+ * Smallest MAC width (in bits) whose birthday bound exceeds the
+ * number of blocks in @p protected_bytes of memory with
+ * @p block_bytes blocks — the paper's minimum-MAC-size argument.
+ */
+unsigned minimumMacBits(std::uint64_t protected_bytes,
+                        std::uint32_t block_bytes);
 
 } // namespace shmgpu::crypto
 

@@ -105,8 +105,7 @@ StreamingDetector::findTracker(std::uint64_t chunk)
 }
 
 StreamingDetector::Tracker *
-StreamingDetector::allocTracker(Cycle now,
-                                std::vector<DetectionEvent> &events)
+StreamingDetector::allocTracker()
 {
     if (oracleMode()) {
         // Unlimited trackers: reuse the lowest free slot, else grow.
@@ -118,16 +117,11 @@ StreamingDetector::allocTracker(Cycle now,
         freeSlots.pop();
         return t;
     }
+    // access() expired every timed-out phase just before this call, so
+    // a tracker is free only if one is invalid.
     for (auto &t : trackers)
         if (!t.valid)
             return &t;
-    // No free tracker: reclaim one that has timed out, if any.
-    for (auto &t : trackers) {
-        if (now >= t.started + config.timeoutCycles) {
-            finalize(t, events, now, PhaseExit::Timeout);
-            return &t;
-        }
-    }
     return nullptr;
 }
 
@@ -197,7 +191,7 @@ StreamingDetector::access(LocalAddr addr, bool is_write, Cycle now,
                 return; // keep MATs free for the streaming fronts
             }
         }
-        t = allocTracker(now, events);
+        t = allocTracker();
         if (!t) {
             ++statNoTrackerFree;
             return; // all MATs busy: chunk goes unmonitored

@@ -204,7 +204,7 @@ class StreamingDetector
     void expireTimedOut(Cycle now, std::vector<DetectionEvent> &events);
     const Tracker *findTracker(std::uint64_t chunk) const;
     Tracker *findTracker(std::uint64_t chunk);
-    Tracker *allocTracker(Cycle now, std::vector<DetectionEvent> &events);
+    Tracker *allocTracker();
     void clearOraclePool();
     bool inCooldown(std::uint64_t chunk, Cycle now) const;
 

@@ -64,7 +64,7 @@ struct GpuParams
      * instead of the event-driven calendar. Both produce bit-identical
      * statistics (tests/test_kernel_loop_diff.cc proves it on
      * randomized workloads); the reference engine exists as that
-     * test's oracle and for A/B timing via `--reference-loop`.
+     * test's oracle and the golden tier's reference variant.
      */
     bool referenceKernelLoop = false;
 

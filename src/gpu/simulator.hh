@@ -97,7 +97,6 @@ class GpuSimulator : public mee::DramRouter
                       mem::TrafficClass cls, Cycle now) override;
 
     Partition &partition(PartitionId p) { return *partitions.at(p); }
-    const mem::AddressMap &addressMap() const { return map; }
     stats::StatGroup &statsRoot() { return rootStats; }
 
   private:

@@ -38,19 +38,6 @@ enum class AdaptMode : std::uint8_t
     MacOnly    //!< MAC integrity only: no counter fetch, no BMT
 };
 
-/** Stable lower-case label ("full", "ro_elide", ...). */
-inline const char *
-adaptModeName(AdaptMode mode)
-{
-    switch (mode) {
-      case AdaptMode::Full: return "full";
-      case AdaptMode::RoElide: return "ro_elide";
-      case AdaptMode::CommonCtr: return "common_ctr";
-      case AdaptMode::MacOnly: return "mac_only";
-    }
-    return "unknown";
-}
-
 /**
  * Demotion thresholds for the adaptive controller, evaluated per
  * region at each epoch boundary. "Reads" here are the engine's

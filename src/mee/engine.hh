@@ -322,7 +322,6 @@ class MeeEngine
     double adaptDemotions() const { return statAdaptDemotions.value(); }
     double adaptPromotions() const { return statAdaptPromotions.value(); }
     double adaptReencBytes() const { return statAdaptReencBytes.value(); }
-    double adaptEpochs() const { return statAdaptEpochs.value(); }
     /** @} */
 
   private:
@@ -340,11 +339,6 @@ class MeeEngine
     Addr metaSpaceAddr(LocalAddr local, Addr phys) const
     {
         return config.localMetadataAddressing ? local : phys;
-    }
-
-    std::uint32_t metaFetchBytes() const
-    {
-        return config.sectoredMetadata ? 32u : 128u;
     }
 
     /** Enqueue one metadata DRAM transaction (routing by scheme). */

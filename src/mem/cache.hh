@@ -201,7 +201,6 @@ class SectoredCache
         return static_cast<std::uint32_t>(way % config.assoc);
     }
 
-    bool lineValid(std::size_t way) const { return tags[way] != 0; }
     Addr lineTag(std::size_t way) const { return tags[way] & ~Addr{1}; }
 
     CacheParams config;

@@ -83,9 +83,6 @@ class DramChannel
     /** Cycles the data bus was occupied (for utilization). */
     Cycle busBusyCycles() const { return busBusy; }
 
-    /** First cycle at which a new request could start transferring. */
-    Cycle nextFree() const { return busFreeAt; }
-
     /** Parked write backlog, in bus cycles (diagnostics). */
     Cycle pendingWrites() const { return pendingWriteCycles; }
 

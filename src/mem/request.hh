@@ -31,9 +31,6 @@ enum class TrafficClass : std::uint8_t
     NumClasses
 };
 
-/** Human-readable name of a traffic class. */
-const char *trafficClassName(TrafficClass c);
-
 /**
  * One SM-side memory operation, as handed to the interconnect
  * (Interconnect::serveNow) and on to its partition: the kind, the

@@ -41,7 +41,6 @@ class MacStore
     void corruptChunkMac(LocalAddr data_addr, std::uint64_t xor_mask);
 
     std::size_t blockMacsStored() const { return blockMacs.size(); }
-    std::size_t chunkMacsStored() const { return chunkMacs.size(); }
 
   private:
     const MetadataLayout &layout;

@@ -68,7 +68,6 @@
 #include "core/result_cache.hh"
 #include "core/scenario.hh"
 #include "core/sweep.hh"
-#include "crypto/dispatch.hh"
 #include "gpu/presets.hh"
 #include "gpu/simulator.hh"
 #include "mem/replacement.hh"
@@ -178,11 +177,9 @@ usage(int rc = 2)
               " --scenario FILE) [--scheme SHM]"
               " [--gpu turing|big|test] [--cycles N]"
               " [--policy lru|fifo|random|s3fifo|sieve]"
-              " [--crypto auto|scalar|aesni|vaes]"
               " [--overrides CFG]"
               " [--adapt-epoch N] [--adapt-thresholds R,S,M]"
-              " [--stats FILE] [--json FILE] [--accuracy]"
-              " [--reference-loop] [--no-solo]"
+              " [--stats FILE] [--json FILE] [--accuracy] [--no-solo]"
               " [--trace OUT.json] [--trace-text OUT.txt]\n"
               "  shmgpu sweep [--workloads a,b,c|all] [--schemes X,Y|all]"
               " [--jobs N] [--gpu turing|big|test] [--cycles N]"
@@ -256,7 +253,6 @@ gpuParamsFrom(const Args &args, core::MeeSettings &mee,
         core::applyMeeOverrides(config, mee);
         core::applyTraceOverrides(
             config, trace_params ? *trace_params : trace_scratch);
-        core::applyCryptoOverrides(config);
         config.assertConsumed();
     }
     // --policy switches L2 and metadata caches together, overriding
@@ -277,16 +273,6 @@ gpuParamsFrom(const Args &args, core::MeeSettings &mee,
     std::string cycles = args.get("cycles");
     if (!cycles.empty())
         gp.maxCyclesPerKernel = parseNumber<Cycle>("cycles", cycles);
-    // A/B escape hatch: drive the per-cycle reference engine instead
-    // of the event-driven calendar (also gpu.reference_loop override).
-    if (args.has("reference-loop"))
-        gp.referenceKernelLoop = true;
-    // Software crypto backend (also crypto.backend override): the
-    // batched kernels are bit-identical, so this only moves wall
-    // clock — auto (cpuid best), scalar, aesni, vaes.
-    std::string backend = args.get("crypto");
-    if (!backend.empty())
-        crypto::setBackend(crypto::backendFromName(backend));
     return gp;
 }
 
@@ -461,6 +447,72 @@ splitList(const std::string &csv)
     return out;
 }
 
+/** The --schemes list: "all" or comma-separated names, @p fallback
+ *  when absent. Fatal when it names none. */
+std::vector<schemes::Scheme>
+schemeList(const Args &args, const std::string &fallback)
+{
+    const std::string list = args.get("schemes", fallback);
+    if (list == "all")
+        return schemes::allSchemes();
+    std::vector<schemes::Scheme> designs;
+    for (const auto &name : splitList(list))
+        designs.push_back(schemes::schemeFromName(name));
+    if (designs.empty())
+        shm_fatal("sweep selects no schemes");
+    return designs;
+}
+
+/**
+ * What both sweep kinds share around their grid: the --results-dir
+ * cell store with its tally line, and the --out document.
+ */
+struct SweepSinks
+{
+    /** Reads --results-dir and --out (before Args::assertConsumed). */
+    explicit SweepSinks(const Args &args)
+        : resultsDir(args.get("results-dir")), out(args.get("out"))
+    {
+    }
+
+    /** Point @p opts at the tally and at the --results-dir cell store
+     *  (opened here, once the flags are checked). Cells load instead
+     *  of simulating on key hits and reach disk the moment they
+     *  finish, which makes interrupted sweeps resumable. */
+    template <typename Options>
+    void
+    attach(Options &opts)
+    {
+        if (!resultsDir.empty())
+            cache = std::make_unique<core::ResultCache>(resultsDir);
+        opts.cache = cache.get();
+        opts.tally = &tally;
+    }
+
+    /** Print the tally line (with a cell store), then write --out. */
+    template <typename Results, typename Write>
+    void
+    finish(const Results &results, Write write, const char *what) const
+    {
+        if (cache)
+            std::printf("cells: %zu simulated, %zu loaded from %s\n",
+                        tally.simulated, tally.cached, resultsDir.c_str());
+        if (out.empty())
+            return;
+        std::ofstream os(out, std::ios::binary);
+        if (!os)
+            shm_fatal("cannot open '{}' for writing", out);
+        write(os, results);
+        std::printf("%s results written to %s (%zu cells)\n", what,
+                    out.c_str(), results.size());
+    }
+
+    std::string resultsDir;
+    std::string out;
+    std::unique_ptr<core::ResultCache> cache;
+    core::SweepTally tally;
+};
+
 /**
  * Build the Zipf grid requested by --zipf-footprints / --zipf-alphas
  * into owned specs, footprint-major. Empty when the axes are absent.
@@ -524,16 +576,7 @@ cmdSweepScenario(const Args &args)
     const workload::ScenarioSpec base =
         workload::parseScenarioFile(args.get("scenario"));
 
-    std::vector<schemes::Scheme> designs;
-    std::string scheme_list = args.get("schemes", "SHM");
-    if (scheme_list == "all") {
-        designs = schemes::allSchemes();
-    } else {
-        for (const auto &name : splitList(scheme_list))
-            designs.push_back(schemes::schemeFromName(name));
-    }
-    if (designs.empty())
-        shm_fatal("sweep selects no schemes");
+    const std::vector<schemes::Scheme> designs = schemeList(args, "SHM");
 
     std::vector<workload::SharePolicy> shares;
     for (const auto &name : splitList(
@@ -561,8 +604,7 @@ cmdSweepScenario(const Args &args)
     opts.run.withSolo = !args.has("no-solo");
     gpu::GpuParams gp =
         gpuParamsFrom(args, opts.run.meeSettings, &opts.run.traceParams);
-    const std::string results_dir = args.get("results-dir");
-    const std::string out = args.get("out");
+    SweepSinks sinks(args);
     args.assertConsumed("sweep");
 
     // Owned variant storage, fully built before cells take pointers.
@@ -583,13 +625,7 @@ cmdSweepScenario(const Args &args)
         for (auto scheme : designs)
             cells.push_back({scheme, &v});
 
-    std::unique_ptr<core::ResultCache> cache;
-    if (!results_dir.empty()) {
-        cache = std::make_unique<core::ResultCache>(results_dir);
-        opts.cache = cache.get();
-    }
-    core::SweepTally tally;
-    opts.tally = &tally;
+    sinks.attach(opts);
 
     auto results = core::runScenarioCells(gp, cells, opts);
 
@@ -597,18 +633,7 @@ cmdSweepScenario(const Args &args)
         for (const auto &r : results)
             printScenario(r);
     }
-    if (cache)
-        std::printf("cells: %zu simulated, %zu loaded from %s\n",
-                    tally.simulated, tally.cached, results_dir.c_str());
-
-    if (!out.empty()) {
-        std::ofstream os(out, std::ios::binary);
-        if (!os)
-            shm_fatal("cannot open '{}' for writing", out);
-        core::writeScenarioSweepJson(os, results);
-        std::printf("scenario sweep results written to %s (%zu cells)\n",
-                    out.c_str(), results.size());
-    }
+    sinks.finish(results, core::writeScenarioSweepJson, "scenario sweep");
     return 0;
 }
 
@@ -638,16 +663,7 @@ cmdSweep(const Args &args)
     if (workloads.empty())
         shm_fatal("sweep selects no workloads");
 
-    std::vector<schemes::Scheme> designs;
-    std::string scheme_list = args.get("schemes", "all");
-    if (scheme_list == "all") {
-        designs = schemes::allSchemes();
-    } else {
-        for (const auto &name : splitList(scheme_list))
-            designs.push_back(schemes::schemeFromName(name));
-    }
-    if (designs.empty())
-        shm_fatal("sweep selects no schemes");
+    const std::vector<schemes::Scheme> designs = schemeList(args, "all");
 
     core::SweepOptions sweep_opts;
     sweep_opts.jobs = args.number<unsigned>("jobs", 1);
@@ -684,27 +700,17 @@ cmdSweep(const Args &args)
     if (!policy_list.empty() && policies.empty())
         shm_fatal("sweep selects no policies");
 
-    const std::string results_dir = args.get("results-dir");
-    if (args.has("resume") && results_dir.empty())
+    SweepSinks sinks(args);
+    if (args.has("resume") && sinks.resultsDir.empty())
         shm_fatal("--resume needs --results-dir DIR (the cell store "
                   "the interrupted sweep wrote)");
     std::string cancel_after = args.get("cancel-after");
     if (!cancel_after.empty())
         sweep_opts.cancelAfter =
             parseNumber<std::size_t>("cancel-after", cancel_after);
-    const std::string out = args.get("out");
     args.assertConsumed("sweep");
 
-    // Persistent cell store: cells load instead of simulating on key
-    // hits and flush to disk the moment they finish, which is what
-    // makes interrupted sweeps resumable.
-    std::unique_ptr<core::ResultCache> cache;
-    if (!results_dir.empty()) {
-        cache = std::make_unique<core::ResultCache>(results_dir);
-        sweep_opts.cache = cache.get();
-    }
-    core::SweepTally tally;
-    sweep_opts.tally = &tally;
+    sinks.attach(sweep_opts);
 
     std::vector<core::ExperimentResult> results;
     try {
@@ -733,12 +739,12 @@ cmdSweep(const Args &args)
         std::printf("sweep cancelled: %zu of %zu cells finished "
                     "(%zu simulated, %zu from cache)\n",
                     cancelled.partial.size(), cancelled.totalCells,
-                    tally.simulated, tally.cached);
-        if (cache)
+                    sinks.tally.simulated, sinks.tally.cached);
+        if (sinks.cache)
             std::printf("partial, resumable: finished cells are in "
                         "%s; rerun the same sweep with --results-dir "
                         "%s to pick up where this one stopped\n",
-                        results_dir.c_str(), results_dir.c_str());
+                        sinks.resultsDir.c_str(), sinks.resultsDir.c_str());
         else
             std::printf("partial results lost (no --results-dir; "
                         "pass one to make cancelled sweeps "
@@ -759,18 +765,7 @@ cmdSweep(const Args &args)
         }
     }
 
-    if (cache)
-        std::printf("cells: %zu simulated, %zu loaded from %s\n",
-                    tally.simulated, tally.cached, results_dir.c_str());
-
-    if (!out.empty()) {
-        std::ofstream os(out, std::ios::binary);
-        if (!os)
-            shm_fatal("cannot open '{}' for writing", out);
-        core::writeSweepJson(os, results);
-        std::printf("sweep results written to %s (%zu cells)\n",
-                    out.c_str(), results.size());
-    }
+    sinks.finish(results, core::writeSweepJson, "sweep");
     if (!sweep_opts.run.traceDir.empty())
         std::printf("per-cell traces written to %s/\n",
                     sweep_opts.run.traceDir.c_str());

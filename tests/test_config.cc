@@ -9,7 +9,6 @@
 
 #include "common/config.hh"
 #include "core/overrides.hh"
-#include "crypto/dispatch.hh"
 #include "mem/replacement.hh"
 #include "schemes/schemes.hh"
 
@@ -182,10 +181,12 @@ TEST(Overrides, AdaptiveKeysSetTheRecordOnlyWhenPresent)
 
 TEST(Overrides, RemovedEngineKeysAreFatal)
 {
-    // Keys of the removed multi-threaded engine and its tracer ring
+    // Keys of the removed multi-threaded engine and its tracer ring,
+    // and of the removed test-oracle and crypto-backend selectors,
     // must fail loudly, not be silently ignored.
     for (const char *key :
-         {"gpu.shards", "gpu.shard_spin", "trace.ring_capacity"}) {
+         {"gpu.shards", "gpu.shard_spin", "trace.ring_capacity",
+          "crypto.backend", "gpu.reference_loop"}) {
         EXPECT_DEATH(
             {
                 Config c = parse(std::string(key) + " = 4\n");
@@ -224,37 +225,4 @@ TEST(Overrides, IgnoredEngineKeysAreFatal)
             },
             std::string("unknown configuration key '") + key + "'");
     }
-}
-
-TEST(Overrides, CryptoBackendKey)
-{
-    crypto::Backend saved = crypto::activeBackend();
-
-    Config c = parse("crypto.backend = scalar\n");
-    core::applyCryptoOverrides(c);
-    c.assertConsumed();
-    EXPECT_EQ(crypto::activeBackend(), crypto::Backend::Scalar);
-
-    // "auto" resolves to the best kernel the host supports.
-    Config autoc = parse("crypto.backend = auto\n");
-    core::applyCryptoOverrides(autoc);
-    EXPECT_EQ(crypto::activeBackend(), crypto::bestSupportedBackend());
-
-    // Absent key leaves the active backend untouched.
-    crypto::setBackend(crypto::Backend::Scalar);
-    Config empty = parse("");
-    core::applyCryptoOverrides(empty);
-    EXPECT_EQ(crypto::activeBackend(), crypto::Backend::Scalar);
-
-    crypto::setBackend(saved);
-}
-
-TEST(Overrides, UnknownCryptoBackendIsFatal)
-{
-    EXPECT_DEATH(
-        {
-            Config c = parse("crypto.backend = neon\n");
-            core::applyCryptoOverrides(c);
-        },
-        "unknown crypto backend 'neon'");
 }

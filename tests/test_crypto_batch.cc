@@ -3,15 +3,14 @@
  * Differential fuzz of the batched, runtime-dispatched crypto kernels
  * against the scalar reference path.
  *
- * The batched backends (AES-NI / VAES / interleaved SipHash / batched
- * CMAC) exist purely for software speed: the contract is that every
- * one of them is *byte-identical* to the portable scalar
- * implementations for random keys, counters, lengths, and batch
- * sizes — including ragged tails that don't fill a 4/8-lane group.
- * Each test runs against every backend the host CPU supports; the
- * scalar batch path is always exercised, so the suite is meaningful
- * on non-x86 CI too. These tests carry the fuzz label and run under
- * ASan/UBSan in the sanitize tier.
+ * The batched backends (AES-NI / VAES / interleaved SipHash) exist
+ * purely for software speed: the contract is that every one of them
+ * is *byte-identical* to the portable scalar implementations for
+ * random keys, counters, lengths, and batch sizes — including ragged
+ * tails that don't fill a 4/8-lane group. Each test runs against
+ * every backend the host CPU supports; the scalar batch path is always
+ * exercised, so the suite is meaningful on non-x86 CI too. These tests
+ * carry the fuzz label and run under ASan/UBSan in the sanitize tier.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +21,6 @@
 #include "common/rng.hh"
 #include "crypto/aes128.hh"
 #include "crypto/aes128_batch.hh"
-#include "crypto/cmac.hh"
 #include "crypto/ctr_mode.hh"
 #include "crypto/dispatch.hh"
 #include "crypto/keygen.hh"
@@ -242,44 +240,6 @@ TEST(CryptoBatchFuzz, BlockMacBatchMatchesScalar)
     }
 }
 
-TEST(CryptoBatchFuzz, CmacBatchMatchesScalarRaggedLengths)
-{
-    Rng rng(0xc3acc3ac);
-    for (Backend backend : supportedBackends()) {
-        for (unsigned rep = 0; rep < 6; ++rep) {
-            Block16 key = randomBlock(rng);
-            AesCmac ref(key, Backend::Scalar);
-            AesCmac eng(key, backend);
-            for (std::size_t n : batchSizes) {
-                // Ragged lengths per lane: empty, partial, complete,
-                // and multi-block messages mixed in one batch.
-                std::vector<std::vector<std::uint8_t>> msgs(n);
-                std::vector<const void *> ptrs(n);
-                std::vector<std::size_t> lens(n);
-                for (std::size_t i = 0; i < n; ++i) {
-                    lens[i] = static_cast<std::size_t>(rng.below(100));
-                    msgs[i].resize(lens[i]);
-                    for (auto &b : msgs[i])
-                        b = static_cast<std::uint8_t>(rng.next());
-                    ptrs[i] = msgs[i].data();
-                }
-                std::vector<Block16> tags(n ? n : 1);
-                eng.macBatch(ptrs.data(), lens.data(), n, tags.data());
-                for (std::size_t i = 0; i < n; ++i)
-                    ASSERT_EQ(tags[i], ref.mac(ptrs[i], lens[i]))
-                        << backendName(backend) << " n=" << n
-                        << " i=" << i << " len=" << lens[i];
-
-                std::vector<std::uint64_t> tags64(n ? n : 1);
-                eng.mac64Batch(ptrs.data(), lens.data(), n,
-                               tags64.data());
-                for (std::size_t i = 0; i < n; ++i)
-                    ASSERT_EQ(tags64[i], ref.mac64(ptrs[i], lens[i]));
-            }
-        }
-    }
-}
-
 // The MEE-level batch paths must be bit-identical to their sequential
 // equivalents: same stored ciphertexts, same stored MACs, same
 // decrypted reads — under every supported AES backend.
@@ -378,33 +338,4 @@ TEST(CryptoBatchFuzz, MeeDeviceReadBatchMatchesSequential)
         ASSERT_EQ(batch[i].data, seq.data) << "i=" << i;
     }
     EXPECT_EQ(batch[8].status, mee::VerifyStatus::MacMismatch);
-}
-
-// RFC 4493 known answers must hold through the batch path too (the
-// scalar AesCmac KATs live in test_cmac.cc).
-TEST(CryptoBatch, CmacBatchRfc4493)
-{
-    Block16 key = {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
-                   0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c};
-    const std::uint8_t msg[40] = {
-        0x6b, 0xc1, 0xbe, 0xe2, 0x2e, 0x40, 0x9f, 0x96, 0xe9, 0x3d,
-        0x7e, 0x11, 0x73, 0x93, 0x17, 0x2a, 0xae, 0x2d, 0x8a, 0x57,
-        0x1e, 0x03, 0xac, 0x9c, 0x9e, 0xb7, 0x6f, 0xac, 0x45, 0xaf,
-        0x8e, 0x51, 0x30, 0xc8, 0x1c, 0x46, 0xa3, 0x5c, 0xe4, 0x11};
-    const void *ptrs[3] = {msg, msg, msg};
-    const std::size_t lens[3] = {0, 16, 40};
-    Block16 expect0 = {0xbb, 0x1d, 0x69, 0x29, 0xe9, 0x59, 0x37, 0x28,
-                       0x7f, 0xa3, 0x7d, 0x12, 0x9b, 0x75, 0x67, 0x46};
-    Block16 expect16 = {0x07, 0x0a, 0x16, 0xb4, 0x6b, 0x4d, 0x41, 0x44,
-                        0xf7, 0x9b, 0xdd, 0x9d, 0xd0, 0x4a, 0x28, 0x7c};
-    Block16 expect40 = {0xdf, 0xa6, 0x67, 0x47, 0xde, 0x9a, 0xe6, 0x30,
-                        0x30, 0xca, 0x32, 0x61, 0x14, 0x97, 0xc8, 0x27};
-    for (Backend backend : supportedBackends()) {
-        AesCmac eng(key, backend);
-        Block16 tags[3];
-        eng.macBatch(ptrs, lens, 3, tags);
-        EXPECT_EQ(tags[0], expect0) << backendName(backend);
-        EXPECT_EQ(tags[1], expect16) << backendName(backend);
-        EXPECT_EQ(tags[2], expect40) << backendName(backend);
-    }
 }

@@ -1,6 +1,7 @@
 /**
  * @file
- * Stateful block-/chunk-MAC tests: every bound input must matter.
+ * Stateful block-/chunk-MAC tests: every bound input must matter; and
+ * the paper's birthday-bound arithmetic for MAC widths (Section III-C).
  */
 
 #include <gtest/gtest.h>
@@ -94,4 +95,26 @@ TEST_F(MacTest, ChunkMacAddressBound)
     std::vector<Mac> macs = {1, 2, 3, 4};
     EXPECT_NE(engine.chunkMac(macs, 0x1000, 0),
               engine.chunkMac(macs, 0x2000, 0));
+}
+
+TEST(MacTruncation, KeepsLowBits)
+{
+    EXPECT_EQ(truncateMac(0xFFFFFFFFFFFFFFFFull, 32), 0xFFFFFFFFull);
+    EXPECT_EQ(truncateMac(0x123456789ABCDEF0ull, 16), 0xDEF0ull);
+    EXPECT_EQ(truncateMac(0x123456789ABCDEF0ull, 64),
+              0x123456789ABCDEF0ull);
+    EXPECT_DEATH(truncateMac(1, 0), "out of range");
+}
+
+TEST(MacTruncation, BirthdayBoundMatchesPaper)
+{
+    // Section III-C: a 4 GB device with 128 B blocks holds 2^25
+    // blocks, so the MAC must be at least 50 bits for collision
+    // resistance; a truncated 32-bit MAC collides after ~2^16 writes.
+    EXPECT_EQ(minimumMacBits(4ull << 30, 128), 50u);
+    EXPECT_DOUBLE_EQ(collisionExponent(50), 25.0);
+    EXPECT_DOUBLE_EQ(collisionExponent(32), 16.0);
+    EXPECT_DOUBLE_EQ(collisionExponent(64), 32.0);
+    // 8 B MACs (the paper's default) clear the bar comfortably.
+    EXPECT_GE(64u, minimumMacBits(4ull << 30, 128));
 }
